@@ -14,14 +14,14 @@ use insane_core::{
 };
 use insane_fabric::{Fabric, Technology, TestbedProfile};
 use insane_memory::{PoolConfig, SlotPool};
-use insane_queues::spsc;
+use insane_queues::channel;
 use insane_tsn::{FifoScheduler, Scheduler, TrafficClass};
 
 fn bench_queues(c: &mut Criterion) {
     let mut group = c.benchmark_group("queues");
     group.throughput(Throughput::Elements(1));
     group.bench_function("spsc_push_pop", |b| {
-        let (tx, rx) = spsc::channel::<u64>(1024);
+        let (tx, rx) = channel::<u64>(1024);
         b.iter(|| {
             tx.push(7).expect("push");
             std::hint::black_box(rx.pop()).expect("pop")

@@ -11,10 +11,9 @@ use std::io::Write;
 use std::os::fd::{AsRawFd, FromRawFd};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
-use std::sync::Arc;
 
 use insane_memory::{Segment, SlotGuard, SlotPool, SlotToken, SlotView};
-use insane_queues::{ring_bytes, ShmConsumer, ShmProducer};
+use insane_queues::{ShmConsumer, ShmProducer};
 
 use crate::proto::{AttachAck, LineBuf, PROTO_VERSION};
 use crate::server::ServerStatsSnapshot;
@@ -86,53 +85,22 @@ impl IpcClient {
         let file = seg_fd
             .ok_or_else(|| IpcError::Protocol("attach ack carried no segment descriptor".into()))?;
 
-        // Validate the ack's layout against itself before trusting any
-        // offset: both rings and the pool must fit the declared length.
-        let ring_len = ring_bytes(ack.ring_capacity);
-        if !ack.ring_capacity.is_power_of_two()
-            || ack
-                .tx_off
-                .checked_add(ring_len)
-                .is_none_or(|e| e > ack.seg_len)
-            || ack
-                .rx_off
-                .checked_add(ring_len)
-                .is_none_or(|e| e > ack.seg_len)
-            || ack.pool_off >= ack.seg_len
-        {
-            return Err(IpcError::Protocol(
-                "attach ack layout is inconsistent".into(),
-            ));
-        }
-
-        let segment = shm::map_segment(&file, ack.seg_len)?;
+        // `parse` checked the layout against itself: both rings and the
+        // pool fit the declared length.
+        let layout = ack.layout;
+        let segment = shm::map_segment(&file, layout.seg_len)?;
         drop(file); // the mapping keeps the pages alive
-        let pool =
-            SlotPool::attach_segment(segment.slice(ack.pool_off, ack.tx_off - ack.pool_off)?)?;
+        let pool = SlotPool::attach_segment(layout.pool_segment(&segment)?)?;
         if pool.slot_size() != ack.slot_size || pool.slot_count() != ack.slot_count {
             return Err(IpcError::Protocol(
                 "segment pool header disagrees with attach ack".into(),
             ));
         }
-        let keep: Arc<dyn core::any::Any + Send + Sync> = Arc::new(segment.clone());
-        // SAFETY: offsets were bounds-checked against `seg_len` above,
-        // the daemon initialized the ring regions, the `keep` Arc pins
-        // the mapping, and this client holds exactly the producer end of
-        // TX and the consumer end of RX (the daemon holds the others).
-        let (tx, rx) = unsafe {
-            (
-                ShmProducer::attach(
-                    segment.base_ptr().add(ack.tx_off),
-                    ack.ring_capacity,
-                    Some(Arc::clone(&keep)),
-                ),
-                ShmConsumer::attach(
-                    segment.base_ptr().add(ack.rx_off),
-                    ack.ring_capacity,
-                    Some(keep),
-                ),
-            )
-        };
+        // SAFETY: `segment` maps the `seg_len` bytes the daemon laid out
+        // and initialized, and this client holds exactly the producer
+        // end of TX and the consumer end of RX (the daemon holds the
+        // others).
+        let (tx, rx) = unsafe { layout.client_ends(&segment) };
         Ok(Self {
             control,
             lines,
@@ -237,18 +205,7 @@ impl IpcClient {
     /// TX ring the guard is handed back untouched (nothing was sent).
     // insane-lint: hot-path-root
     pub fn emit(&self, stream: u32, guard: SlotGuard) -> Result<(), SlotGuard> {
-        let (word0, word1) = guard.token().to_wire();
-        // insane-lint: allow(hot-path-alloc) -- ShmProducer::push writes a fixed-capacity shared ring; it never allocates
-        match self.tx.push([word0, word1 | ((stream as u64) << 32)]) {
-            Ok(()) => {
-                // The descriptor now in the TX ring owns the checkout;
-                // the daemon (or a force-reclaim) releases it.
-                // insane-lint: allow(slot-token-drop) -- ownership transferred to the in-flight descriptor pushed above
-                let _ = guard.into_token();
-                Ok(())
-            }
-            Err(_) => Err(guard),
-        }
+        emit_on(&self.tx, stream, guard)
     }
 
     /// Polls the RX ring: returns the next `(stream, message)` if one is
@@ -256,13 +213,7 @@ impl IpcClient {
     /// copies — and releases the slot when dropped.
     // insane-lint: hot-path-root
     pub fn try_recv(&self) -> Option<(u32, SlotView)> {
-        let [word0, word1] = self.rx.pop()?;
-        let stream = (word1 >> 32) as u32;
-        let token = SlotToken::from_wire(self.pool.pool_id(), word0, word1 & u64::from(u32::MAX));
-        // A stale token here means the daemon force-reclaimed this
-        // session out from under us; surface it as "nothing received".
-        let view = self.pool.view(token).ok()?;
-        Some((stream, view))
+        recv_from(&self.rx, &self.pool)
     }
 
     /// Gracefully detaches: the daemon retires the session and reclaims
@@ -274,4 +225,30 @@ impl IpcClient {
     pub fn detach(mut self) -> Result<(), IpcError> {
         self.request("detach").map(|_| ())
     }
+}
+
+/// Pushes the descriptor of `guard`'s slot for `stream` on `tx`.  Once it
+/// is in the ring the descriptor owns the checkout — the peer (or a
+/// force-reclaim) releases it; on a full ring the guard comes back.
+pub(crate) fn emit_on(tx: &ShmProducer, stream: u32, guard: SlotGuard) -> Result<(), SlotGuard> {
+    let (word0, word1) = guard.token().to_wire();
+    // insane-lint: allow(hot-path-alloc) -- ShmProducer::push writes a fixed-capacity shared ring; it never allocates
+    match tx.push([word0, word1 | ((stream as u64) << 32)]) {
+        Ok(()) => {
+            // insane-lint: allow(slot-token-drop) -- ownership transferred to the in-flight descriptor pushed above
+            let _ = guard.into_token();
+            Ok(())
+        }
+        Err(_) => Err(guard),
+    }
+}
+
+/// Pops the next descriptor off `rx` and views its slot in `pool`.
+pub(crate) fn recv_from(rx: &ShmConsumer, pool: &SlotPool) -> Option<(u32, SlotView)> {
+    let [word0, word1] = rx.pop()?;
+    let token = SlotToken::from_wire(pool.pool_id(), word0, word1 & u64::from(u32::MAX));
+    // A stale token here means the daemon force-reclaimed this session
+    // out from under us; surface it as "nothing received".
+    let view = pool.view(token).ok()?;
+    Some(((word1 >> 32) as u32, view))
 }

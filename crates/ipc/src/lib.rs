@@ -12,7 +12,7 @@
 //!   `stats`.  Slow, allocating, forgiving: it runs once per session,
 //!   not per message.
 //! * **Datapath** ([`client`], plus [`insane_memory::Segment`] and
-//!   [`insane_queues::shm_spsc`]): a per-session shared-memory segment
+//!   [`insane_queues::ring`]): a per-session shared-memory segment
 //!   holding a [`SlotPool`](insane_memory::SlotPool) and two offset-
 //!   addressed SPSC descriptor rings.  `lend → emit → (daemon) → recv →
 //!   release` moves 16-byte descriptors, never payload bytes, and

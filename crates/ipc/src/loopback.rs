@@ -1,6 +1,6 @@
-//! The in-process twin of a daemon session: the same segment-backed
-//! pool, the same offset-addressed descriptor rings, the same forwarder
-//! loop — minus the OS process boundary.
+//! A daemon session without the OS process boundary: the same
+//! segment-backed pool, the same offset-addressed descriptor rings, and
+//! the daemon's datapath thread itself — not a copy of its loop.
 //!
 //! This is the control arm of the process-split experiment
 //! (`BENCH_ipc.json`): a round trip through [`InProcessLoop`] crosses
@@ -9,23 +9,20 @@
 //! also a convenient harness for exercising the datapath structures
 //! without spawning a daemon.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use insane_memory::{PoolConfig, Segment, SlotGuard, SlotPool, SlotToken, SlotView};
-use insane_queues::{ring_bytes, Descriptor, ShmConsumer, ShmProducer};
+use insane_memory::{PoolConfig, Segment, SlotGuard, SlotPool, SlotView};
+use insane_queues::{ShmConsumer, ShmProducer};
 
+use crate::client::{emit_on, recv_from};
+use crate::server::{DatapathSession, ServerConfig, ServerState};
+use crate::shm::SessionLayout;
 use crate::IpcError;
 
-/// The daemon datapath's burst size, mirrored by the forwarder.
-const BURST: usize = 64;
-/// The daemon datapath's idle sleep, mirrored by the forwarder.
-const IDLE_SLEEP: Duration = Duration::from_micros(200);
-
 /// A complete client↔runtime datapath inside one process: heap segment,
-/// pool, TX/RX descriptor rings, and a forwarder thread running the
-/// daemon's loop (bursts, pending holdover, idle sleep).
+/// pool, TX/RX descriptor rings, and the daemon's own datapath thread
+/// (`server::run_datapath`: bursts, pending holdover, idle sleep)
+/// serving this one session.
 ///
 /// The API mirrors [`crate::IpcClient`]'s hot path — `lend → emit` /
 /// `try_recv → drop` — so a benchmark can drive both with the same
@@ -34,8 +31,8 @@ pub struct InProcessLoop {
     pool: SlotPool,
     tx: ShmProducer,
     rx: ShmConsumer,
-    stop: Arc<AtomicBool>,
-    forwarder: Option<std::thread::JoinHandle<()>>,
+    daemon: Arc<ServerState>,
+    datapath: Option<std::thread::JoinHandle<()>>,
 }
 
 impl core::fmt::Debug for InProcessLoop {
@@ -47,63 +44,40 @@ impl core::fmt::Debug for InProcessLoop {
 }
 
 impl InProcessLoop {
-    /// Builds the loop: segment, pool, rings, forwarder thread.
+    /// Builds the loop: segment, pool, rings, datapath thread.
     ///
     /// # Errors
     ///
     /// [`IpcError::Memory`] if the pool configuration is rejected,
-    /// [`IpcError::Io`] if the forwarder thread cannot spawn.
+    /// [`IpcError::Protocol`] if the ring capacity is, [`IpcError::Io`]
+    /// if the datapath thread cannot spawn.
     pub fn new(
         slot_size: usize,
         slot_count: usize,
         ring_capacity: usize,
     ) -> Result<Self, IpcError> {
         let config = PoolConfig::new(u16::MAX, slot_size, slot_count);
-        let pool_len = SlotPool::required_segment_len(&config)?;
-        let ring_len = (ring_bytes(ring_capacity) + 63) & !63;
-        let tx_off = pool_len;
-        let rx_off = pool_len + ring_len;
-        let segment = Segment::heap(rx_off + ring_len);
-        let pool = SlotPool::create_in_segment(config, segment.slice(0, pool_len)?)?;
+        let layout = SessionLayout::pack(&config, ring_capacity)?;
+        let segment = Segment::heap(layout.seg_len);
+        let pool = SlotPool::create_in_segment(config, layout.pool_segment(&segment)?)?;
+        // SAFETY: `segment` is the layout's `seg_len` zeroed bytes, and
+        // this is the only client side of the session.
+        let (tx, rx) = unsafe { layout.client_ends(&segment) };
+        // SAFETY: as above, for the only daemon side (it moves to the
+        // datapath thread below).
+        let daemon_ends = unsafe { layout.daemon_ends(&segment) };
 
-        let keep: Arc<dyn core::any::Any + Send + Sync> = Arc::new(segment.clone());
-        // SAFETY: both ring regions lie inside the zero-initialized heap
-        // segment at 64-aligned offsets, the `keep` Arc pins the
-        // backing, and each of the four endpoints below is the unique
-        // owner of its side (client side stays here, forwarder side
-        // moves into the thread).
-        let (tx, fwd_in, fwd_out, rx) = unsafe {
-            (
-                ShmProducer::attach(
-                    segment.base_ptr().add(tx_off),
-                    ring_capacity,
-                    Some(Arc::clone(&keep)),
-                ),
-                ShmConsumer::attach(
-                    segment.base_ptr().add(tx_off),
-                    ring_capacity,
-                    Some(Arc::clone(&keep)),
-                ),
-                ShmProducer::attach(
-                    segment.base_ptr().add(rx_off),
-                    ring_capacity,
-                    Some(Arc::clone(&keep)),
-                ),
-                ShmConsumer::attach(segment.base_ptr().add(rx_off), ring_capacity, Some(keep)),
-            )
-        };
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_fwd = Arc::clone(&stop);
-        let forwarder = std::thread::Builder::new()
-            .name("insane-loopback".into())
-            .spawn(move || forward(&fwd_in, &fwd_out, &stop_fwd))?;
+        // No control plane: the socket path is never bound.
+        let (daemon, sessions, datapath) = ServerState::start(ServerConfig::new(""))?;
+        sessions
+            .send(DatapathSession::new(0, pool.clone(), daemon_ends))
+            .map_err(|_| IpcError::SessionDead)?;
         Ok(Self {
             pool,
             tx,
             rx,
-            stop,
-            forwarder: Some(forwarder),
+            daemon,
+            datapath: Some(datapath),
         })
     }
 
@@ -121,60 +95,23 @@ impl InProcessLoop {
         Ok(self.pool.acquire(len)?)
     }
 
-    /// Emits a filled slot; the forwarder routes it back to `try_recv`.
+    /// Emits a filled slot; the datapath routes it back to `try_recv`.
     /// On a full ring the guard is handed back untouched.
     pub fn emit(&self, guard: SlotGuard) -> Result<(), SlotGuard> {
-        let (word0, word1) = guard.token().to_wire();
-        match self.tx.push([word0, word1]) {
-            Ok(()) => {
-                // insane-lint: allow(slot-token-drop) -- ownership transferred to the in-flight descriptor pushed above
-                let _ = guard.into_token();
-                Ok(())
-            }
-            Err(_) => Err(guard),
-        }
+        emit_on(&self.tx, 0, guard)
     }
 
     /// Polls for the next forwarded message.
     pub fn try_recv(&self) -> Option<SlotView> {
-        let [word0, word1] = self.rx.pop()?;
-        let token = SlotToken::from_wire(self.pool.pool_id(), word0, word1);
-        self.pool.view(token).ok()
+        recv_from(&self.rx, &self.pool).map(|(_, view)| view)
     }
 }
 
 impl Drop for InProcessLoop {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.forwarder.take() {
+        self.daemon.stop();
+        if let Some(handle) = self.datapath.take() {
             let _ = handle.join();
-        }
-    }
-}
-
-/// The daemon's datapath loop verbatim: drain in bursts, hold one
-/// descriptor across a full output ring, sleep when idle.
-fn forward(input: &ShmConsumer, output: &ShmProducer, stop: &AtomicBool) {
-    let mut pending: Option<Descriptor> = None;
-    loop {
-        let mut moved = false;
-        for _ in 0..BURST {
-            let Some(desc) = pending.take().or_else(|| input.pop()) else {
-                break;
-            };
-            match output.push(desc) {
-                Ok(()) => moved = true,
-                Err(desc) => {
-                    pending = Some(desc);
-                    break;
-                }
-            }
-        }
-        if !moved {
-            if stop.load(Ordering::Relaxed) {
-                break;
-            }
-            std::thread::sleep(IDLE_SLEEP);
         }
     }
 }

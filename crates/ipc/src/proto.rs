@@ -28,6 +28,7 @@
 
 use std::io::Read;
 
+use crate::shm::SessionLayout;
 use crate::IpcError;
 
 /// Protocol identifier sent in every `attach` and answered by `probe`.
@@ -36,8 +37,8 @@ pub const PROTO_VERSION: &str = "insane-ipc-v1";
 /// Hard cap on a control line; anything longer is a protocol error.
 pub const MAX_LINE: usize = 4096;
 
-/// Everything a client needs to join a session: the identifiers of the
-/// shared segment's regions.  All offsets are segment-relative.
+/// Everything a client needs to join a session: the pool's shape and
+/// where the shared segment's regions are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttachAck {
     /// Daemon-assigned session id.
@@ -46,59 +47,57 @@ pub struct AttachAck {
     pub slot_size: usize,
     /// Slot count of the session pool.
     pub slot_count: usize,
-    /// Capacity of each descriptor ring.
-    pub ring_capacity: usize,
-    /// Pool region offset within the segment.
-    pub pool_off: usize,
-    /// Client→daemon descriptor ring offset.
-    pub tx_off: usize,
-    /// Daemon→client descriptor ring offset.
-    pub rx_off: usize,
-    /// Total segment length, bytes.
-    pub seg_len: usize,
+    /// Segment-relative offsets of the pool and the two rings.
+    pub layout: SessionLayout,
 }
 
 impl AttachAck {
     /// Formats the ack as its response line (without the fd).
     pub fn to_line(&self) -> String {
+        let SessionLayout {
+            ring_capacity,
+            pool_off,
+            tx_off,
+            rx_off,
+            seg_len,
+        } = self.layout;
         format!(
-            "ok attach {} {} {} {} {} {} {} {}",
-            self.session,
-            self.slot_size,
-            self.slot_count,
-            self.ring_capacity,
-            self.pool_off,
-            self.tx_off,
-            self.rx_off,
-            self.seg_len
+            "ok attach {} {} {} {ring_capacity} {pool_off} {tx_off} {rx_off} {seg_len}",
+            self.session, self.slot_size, self.slot_count
         )
     }
 
-    /// Parses an `ok attach …` response line.
+    /// Parses an `ok attach …` response line.  The layout it carries is
+    /// [`validate`](SessionLayout::validate)d before it is returned, so
+    /// no offset of a parsed ack needs checking again.
     ///
     /// # Errors
     ///
-    /// [`IpcError::Protocol`] on a malformed or non-attach line.
+    /// [`IpcError::Protocol`] on a malformed or non-attach line, or a
+    /// layout that is inconsistent with itself.
     pub fn parse(line: &str) -> Result<Self, IpcError> {
         let mut words = line.split_ascii_whitespace();
         if words.next() != Some("ok") || words.next() != Some("attach") {
             return Err(IpcError::Protocol(format!("not an attach ack: {line:?}")));
         }
-        let mut field = || -> Result<u64, IpcError> {
+        let mut field = || -> Result<usize, IpcError> {
             words
                 .next()
                 .and_then(|w| w.parse().ok())
                 .ok_or_else(|| IpcError::Protocol(format!("malformed attach ack: {line:?}")))
         };
         Ok(Self {
-            session: field()?,
-            slot_size: field()? as usize,
-            slot_count: field()? as usize,
-            ring_capacity: field()? as usize,
-            pool_off: field()? as usize,
-            tx_off: field()? as usize,
-            rx_off: field()? as usize,
-            seg_len: field()? as usize,
+            session: field()? as u64,
+            slot_size: field()?,
+            slot_count: field()?,
+            layout: SessionLayout {
+                ring_capacity: field()?,
+                pool_off: field()?,
+                tx_off: field()?,
+                rx_off: field()?,
+                seg_len: field()?,
+            }
+            .validate()?,
         })
     }
 }
@@ -178,18 +177,28 @@ mod tests {
             session: 42,
             slot_size: 2048,
             slot_count: 256,
-            ring_capacity: 64,
-            pool_off: 0,
-            tx_off: 4096,
-            rx_off: 8192,
-            seg_len: 12288,
+            layout: SessionLayout {
+                ring_capacity: 64,
+                pool_off: 0,
+                tx_off: 4096,
+                rx_off: 8192,
+                seg_len: 12288,
+            },
         };
         assert_eq!(AttachAck::parse(&ack.to_line()).unwrap(), ack);
     }
 
     #[test]
     fn malformed_acks_are_typed_errors() {
-        for bad in ["", "ok", "err no", "ok attach 1 2 three", "ok attach 1"] {
+        let inconsistent = "ok attach 1 2048 256 64 0 4096 8192 8200";
+        for bad in [
+            "",
+            "ok",
+            "err no",
+            "ok attach 1 2 three",
+            "ok attach 1",
+            inconsistent,
+        ] {
             assert!(matches!(AttachAck::parse(bad), Err(IpcError::Protocol(_))));
         }
     }

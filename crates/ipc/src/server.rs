@@ -32,12 +32,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use insane_memory::{PoolConfig, SlotPool};
-use insane_queues::{ring_bytes, ShmConsumer, ShmProducer};
+use insane_queues::{Descriptor, ShmConsumer, ShmProducer};
 use parking_lot::Mutex;
 
 use crate::proto::{AttachAck, LineBuf, PROTO_VERSION};
+use crate::shm::{self, SessionLayout};
 use crate::uds::{bind_guarded, BoundSocket};
-use crate::{shm, sys, IpcError};
+use crate::{sys, IpcError};
 
 /// Construction parameters for an [`IpcServer`].
 #[derive(Debug, Clone)]
@@ -185,14 +186,55 @@ impl SessionShared {
 /// Datapath-thread ownership of one session: the ring endpoints (which
 /// are single-owner by the SPSC contract) plus a one-descriptor holdover
 /// for RX back-pressure.
-struct DatapathSession {
+pub(crate) struct DatapathSession {
     shared: Arc<SessionShared>,
     tx: ShmConsumer,
     rx: ShmProducer,
-    pending: Option<[u64; 2]>,
+    pending: Option<Descriptor>,
 }
 
-struct ServerState {
+impl DatapathSession {
+    /// A session over `pool` whose daemon-side ring ends are `(tx, rx)`.
+    pub(crate) fn new(id: u64, pool: SlotPool, (tx, rx): (ShmConsumer, ShmProducer)) -> Self {
+        Self {
+            shared: Arc::new(SessionShared {
+                id,
+                alive: AtomicBool::new(true),
+                graceful: AtomicBool::new(false),
+                died_at: Mutex::new(None),
+                next_stream: AtomicU32::new(0),
+                pool,
+            }),
+            tx,
+            rx,
+            pending: None,
+        }
+    }
+
+    /// One poll of this session: routes up to [`BURST`] descriptors from
+    /// its TX ring to its RX ring (the reproduction's loopback fabric)
+    /// and returns how many moved.  On RX back-pressure the descriptor
+    /// in hand is held over to the next poll; nothing is dropped.
+    fn forward_burst(&mut self) -> u64 {
+        let mut moved = 0;
+        while moved < BURST {
+            let Some(descriptor) = self.pending.take().or_else(|| self.tx.pop()) else {
+                break;
+            };
+            // insane-lint: allow(hot-path-alloc) -- ShmProducer::push writes a fixed-capacity shared ring; it never allocates
+            if let Err(held) = self.rx.push(descriptor) {
+                self.pending = Some(held);
+                break;
+            }
+            moved += 1;
+        }
+        moved
+    }
+}
+
+/// Everything the daemon's threads share.  `loopback::InProcessLoop`
+/// builds one too: it is a daemon without a control plane.
+pub(crate) struct ServerState {
     config: ServerConfig,
     stats: ServerStats,
     sessions: Mutex<Vec<Arc<SessionShared>>>,
@@ -202,6 +244,36 @@ struct ServerState {
 }
 
 impl ServerState {
+    /// Builds the shared state and starts the datapath thread; sessions
+    /// reach that thread through the returned sender.
+    pub(crate) fn start(
+        config: ServerConfig,
+    ) -> std::io::Result<(
+        Arc<Self>,
+        mpsc::Sender<DatapathSession>,
+        std::thread::JoinHandle<()>,
+    )> {
+        let state = Arc::new(Self {
+            config,
+            stats: ServerStats::default(),
+            sessions: Mutex::new(Vec::new()),
+            next_session: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+            shutdown_requested: AtomicBool::new(false),
+        });
+        let (dp_tx, dp_rx) = mpsc::channel();
+        let dp_state = Arc::clone(&state);
+        let datapath = std::thread::Builder::new()
+            .name("insane-datapath".into())
+            .spawn(move || run_datapath(dp_state, dp_rx))?;
+        Ok((state, dp_tx, datapath))
+    }
+
+    /// Asks every thread to exit at its next iteration.
+    pub(crate) fn stop(&self) {
+        self.shutdown.store(true, Ordering::Relaxed);
+    }
+
     fn snapshot(&self) -> ServerStatsSnapshot {
         let in_use: u64 = self
             .sessions
@@ -249,23 +321,15 @@ impl IpcServer {
     ///
     /// [`IpcError::AlreadyRunning`] or [`IpcError::Io`] from the bind.
     pub fn start(config: ServerConfig) -> Result<Self, IpcError> {
-        if !config.ring_capacity.is_power_of_two() || config.ring_capacity == 0 {
-            return Err(IpcError::Protocol(
-                "ring_capacity must be a power of two".into(),
-            ));
-        }
+        // Refuse a session shape no attach could ever be served with.
+        SessionLayout::pack(
+            &PoolConfig::new(0, config.slot_size, config.slot_count),
+            config.ring_capacity,
+        )?;
         let bound = bind_guarded(&config.socket)?;
         bound.listener().set_nonblocking(true)?;
         let listener = bound.listener().try_clone()?;
-        let state = Arc::new(ServerState {
-            config,
-            stats: ServerStats::default(),
-            sessions: Mutex::new(Vec::new()),
-            next_session: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            shutdown_requested: AtomicBool::new(false),
-        });
-        let (dp_tx, dp_rx) = mpsc::channel::<DatapathSession>();
+        let (state, dp_tx, datapath) = ServerState::start(config)?;
 
         let accept_state = Arc::clone(&state);
         let accept = std::thread::spawn(move || {
@@ -283,9 +347,6 @@ impl IpcServer {
                 }
             }
         });
-
-        let dp_state = Arc::clone(&state);
-        let datapath = std::thread::spawn(move || run_datapath(dp_state, dp_rx));
 
         Ok(Self {
             state,
@@ -316,7 +377,7 @@ impl IpcServer {
     }
 
     fn stop(&mut self) {
-        self.state.shutdown.store(true, Ordering::Relaxed);
+        self.state.stop();
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
@@ -447,52 +508,19 @@ fn open_session(
     let config = &state.config;
     let id = state.next_session.fetch_add(1, Ordering::Relaxed) + 1;
     let pool_config = PoolConfig::new(id as u16, config.slot_size, config.slot_count);
-    let pool_len = SlotPool::required_segment_len(&pool_config)?;
-    let ring_len = (ring_bytes(config.ring_capacity) + 63) & !63;
-    let tx_off = pool_len;
-    let rx_off = pool_len + ring_len;
-    let seg_len = rx_off + ring_len;
+    let layout = SessionLayout::pack(&pool_config, config.ring_capacity)?;
 
-    let file = shm::create_segment_file(seg_len)?;
-    let segment = shm::map_segment(&file, seg_len)?;
-    let pool = SlotPool::create_in_segment(pool_config, segment.slice(0, pool_len)?)?;
-    let keep: Arc<dyn core::any::Any + Send + Sync> = Arc::new(segment.clone());
-    // SAFETY: `tx_off`/`rx_off` + `ring_bytes(capacity)` lie inside the
-    // freshly mapped `seg_len` bytes (computed above), the fresh tmpfs
-    // pages are zero, the `keep` Arc pins the mapping, and this daemon
-    // attaches exactly one consumer (TX) and one producer (RX) — the
-    // client holds the opposite ends.
-    let (tx, rx) = unsafe {
-        (
-            ShmConsumer::attach(
-                segment.base_ptr().add(tx_off),
-                config.ring_capacity,
-                Some(Arc::clone(&keep)),
-            ),
-            ShmProducer::attach(
-                segment.base_ptr().add(rx_off),
-                config.ring_capacity,
-                Some(keep),
-            ),
-        )
-    };
-
-    let shared = Arc::new(SessionShared {
-        id,
-        alive: AtomicBool::new(true),
-        graceful: AtomicBool::new(false),
-        died_at: Mutex::new(None),
-        next_stream: AtomicU32::new(0),
-        pool: pool.clone(),
-    });
-    dp_tx
-        .send(DatapathSession {
-            shared: Arc::clone(&shared),
-            tx,
-            rx,
-            pending: None,
-        })
-        .map_err(|_| IpcError::SessionDead)?;
+    let file = shm::create_segment_file(layout.seg_len)?;
+    let segment = shm::map_segment(&file, layout.seg_len)?;
+    let pool = SlotPool::create_in_segment(pool_config, layout.pool_segment(&segment)?)?;
+    // SAFETY: `segment` is the freshly mapped `seg_len` bytes of the
+    // layout (fresh tmpfs pages are zero), and this daemon attaches
+    // exactly one consumer (TX) and one producer (RX) — the client
+    // holds the opposite ends.
+    let ends = unsafe { layout.daemon_ends(&segment) };
+    let session = DatapathSession::new(id, pool, ends);
+    let shared = Arc::clone(&session.shared);
+    dp_tx.send(session).map_err(|_| IpcError::SessionDead)?;
     state.sessions.lock().push(Arc::clone(&shared));
     state.stats.attaches.fetch_add(1, Ordering::Relaxed);
     state.stats.sessions.fetch_add(1, Ordering::Relaxed);
@@ -501,11 +529,7 @@ fn open_session(
         session: id,
         slot_size: config.slot_size,
         slot_count: config.slot_count,
-        ring_capacity: config.ring_capacity,
-        pool_off: 0,
-        tx_off,
-        rx_off,
-        seg_len,
+        layout,
     };
     let line = format!("{}\n", ack.to_line());
     sys::send_with_fd(stream.as_raw_fd(), line.as_bytes(), file.as_raw_fd())?;
@@ -513,7 +537,7 @@ fn open_session(
 }
 
 /// Descriptors moved per session per poll iteration.
-const BURST: usize = 64;
+const BURST: u64 = 64;
 
 // insane-lint: hot-path-root
 fn run_datapath(state: Arc<ServerState>, dp_rx: mpsc::Receiver<DatapathSession>) {
@@ -524,36 +548,17 @@ fn run_datapath(state: Arc<ServerState>, dp_rx: mpsc::Receiver<DatapathSession>)
             sessions.push(s);
         }
         let mut progressed = false;
-        let mut index = 0;
-        while index < sessions.len() {
-            // insane-lint: allow(hot-path-panic) -- `index < sessions.len()` is the loop condition
-            let session = &mut sessions[index];
-            if !session.shared.alive.load(Ordering::Acquire) {
-                let dead = sessions.swap_remove(index);
-                reclaim_session(&state, dead);
+        let dead = |s: &DatapathSession| !s.shared.alive.load(Ordering::Acquire);
+        while let Some(at) = sessions.iter().position(dead) {
+            reclaim_session(&state, sessions.swap_remove(at));
+            progressed = true;
+        }
+        for session in &mut sessions {
+            let moved = session.forward_burst();
+            if moved > 0 {
+                state.stats.forwarded.fetch_add(moved, Ordering::Relaxed);
                 progressed = true;
-                continue;
             }
-            for _ in 0..BURST {
-                let descriptor = match session.pending.take().or_else(|| session.tx.pop()) {
-                    Some(d) => d,
-                    None => break,
-                };
-                // insane-lint: allow(hot-path-alloc) -- ShmProducer::push writes a fixed-capacity shared ring; it never allocates
-                match session.rx.push(descriptor) {
-                    Ok(()) => {
-                        state.stats.forwarded.fetch_add(1, Ordering::Relaxed);
-                        progressed = true;
-                    }
-                    Err(held) => {
-                        // RX back-pressure: hold the descriptor, retry
-                        // next iteration.  Nothing is dropped.
-                        session.pending = Some(held);
-                        break;
-                    }
-                }
-            }
-            index += 1;
         }
         if state.shutdown.load(Ordering::Relaxed) {
             break;

@@ -14,11 +14,154 @@ use std::fs::File;
 use std::io;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use insane_memory::Segment;
+use insane_memory::{PoolConfig, Segment, SlotPool};
+use insane_queues::{ring_bytes, ShmConsumer, ShmProducer};
 
 use crate::sys;
 use crate::IpcError;
+
+/// Where a session's pool and its two descriptor rings sit in the
+/// session segment.  The daemon [`pack`](Self::pack)s one and sends it
+/// in the attach ack; the client [`validate`](Self::validate)s what it
+/// received (`AttachAck::parse` does); both then take their ring ends
+/// from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SessionLayout {
+    /// Capacity of each descriptor ring.
+    pub ring_capacity: usize,
+    /// Pool region offset; the pool runs up to `tx_off`.
+    pub pool_off: usize,
+    /// Client→daemon descriptor ring offset.
+    pub tx_off: usize,
+    /// Daemon→client descriptor ring offset.
+    pub rx_off: usize,
+    /// Total segment length, bytes.
+    pub seg_len: usize,
+}
+
+impl SessionLayout {
+    /// Lays a session out as `[pool | TX ring | RX ring]`, each ring
+    /// rounded up to whole cache lines so head and tail words never
+    /// share a line across a region boundary.
+    ///
+    /// # Errors
+    ///
+    /// [`IpcError::Memory`] on a pool config the pool rejects,
+    /// [`IpcError::Protocol`] on a ring capacity that is not a power of
+    /// two or a layout that overflows.
+    pub fn pack(pool: &PoolConfig, ring_capacity: usize) -> Result<Self, IpcError> {
+        // Saturating: an overflowing layout cannot pass `validate`.
+        let tx_off = SlotPool::required_segment_len(pool)?;
+        let ring_len = ring_bytes(ring_capacity).saturating_add(63) & !63;
+        let rx_off = tx_off.saturating_add(ring_len);
+        Self {
+            ring_capacity,
+            pool_off: 0,
+            tx_off,
+            rx_off,
+            seg_len: rx_off.saturating_add(ring_len),
+        }
+        .validate()
+    }
+
+    /// Checks the layout against itself, before any offset in it is
+    /// trusted: a malformed or hostile attach ack is an error here,
+    /// never an out-of-bounds access or a panic later.
+    ///
+    /// # Errors
+    ///
+    /// [`IpcError::Protocol`] if the regions do not fit `seg_len`, are
+    /// misaligned, or the ring capacity is not a power of two.
+    pub fn validate(self) -> Result<Self, IpcError> {
+        // Saturates on an absurd capacity, which then fails `fits`.
+        let ring_len = ring_bytes(self.ring_capacity);
+        let fits = |off: usize| {
+            off.is_multiple_of(8)
+                && off
+                    .checked_add(ring_len)
+                    .is_some_and(|end| end <= self.seg_len)
+        };
+        // What `ShmProducer::attach`/`SlotPool::attach_segment` would
+        // otherwise assert: capacity, alignment, bounds.
+        if self.ring_capacity.is_power_of_two()
+            && self.ring_capacity as u64 <= u32::MAX as u64
+            && self.pool_off.is_multiple_of(8)
+            && self.pool_off <= self.tx_off
+            && fits(self.tx_off)
+            && fits(self.rx_off)
+        {
+            Ok(self)
+        } else {
+            Err(IpcError::Protocol("session layout is inconsistent".into()))
+        }
+    }
+
+    /// The pool's window of `segment`.
+    ///
+    /// # Errors
+    ///
+    /// [`IpcError::Memory`] if `segment` is shorter than the layout.
+    pub fn pool_segment(&self, segment: &Segment) -> Result<Segment, IpcError> {
+        Ok(segment.slice(self.pool_off, self.tx_off - self.pool_off)?)
+    }
+
+    /// The client's ring ends: TX producer, RX consumer.
+    ///
+    /// # Safety
+    ///
+    /// `segment` must be a mapping of the session segment this layout
+    /// describes (at least `seg_len` bytes, ring regions zeroed or left
+    /// by the rings' previous use), and no other client-side end of
+    /// either ring may exist in any process.
+    // SAFETY: callers uphold the `# Safety` contract above.
+    pub unsafe fn client_ends(&self, segment: &Segment) -> (ShmProducer, ShmConsumer) {
+        let (tx, rx, keep) = self.ring_bases(segment);
+        // SAFETY: `validate` put both ring regions inside `seg_len` at
+        // 8-aligned offsets and `ring_bases` checked the segment covers
+        // them; `keep` pins the mapping; uniqueness of the ends is the
+        // caller's contract.
+        unsafe {
+            (
+                ShmProducer::attach(tx, self.ring_capacity, Some(Arc::clone(&keep))),
+                ShmConsumer::attach(rx, self.ring_capacity, Some(keep)),
+            )
+        }
+    }
+
+    /// The daemon's ring ends: TX consumer, RX producer.
+    ///
+    /// # Safety
+    ///
+    /// As [`SessionLayout::client_ends`], for the daemon-side ends.
+    // SAFETY: callers uphold the `# Safety` contract above.
+    pub unsafe fn daemon_ends(&self, segment: &Segment) -> (ShmConsumer, ShmProducer) {
+        let (tx, rx, keep) = self.ring_bases(segment);
+        // SAFETY: as in `client_ends`.
+        unsafe {
+            (
+                ShmConsumer::attach(tx, self.ring_capacity, Some(Arc::clone(&keep))),
+                ShmProducer::attach(rx, self.ring_capacity, Some(keep)),
+            )
+        }
+    }
+
+    fn ring_bases(
+        &self,
+        segment: &Segment,
+    ) -> (*mut u8, *mut u8, Arc<dyn core::any::Any + Send + Sync>) {
+        assert!(
+            segment.len() >= self.seg_len,
+            "segment shorter than its layout"
+        );
+        let base = segment.base_ptr();
+        // SAFETY: both offsets lie inside `seg_len` (`validate`), which
+        // the segment covers (asserted above).
+        let (tx, rx) = unsafe { (base.add(self.tx_off), base.add(self.rx_off)) };
+        (tx, rx, Arc::new(segment.clone()))
+    }
+}
 
 /// Owner of one `mmap` region; dropping the last [`Segment`] handle
 /// unmaps it.
@@ -92,6 +235,55 @@ pub fn map_segment(file: &File, len: usize) -> Result<Segment, IpcError> {
 mod tests {
     use super::*;
     use core::sync::atomic::Ordering;
+
+    fn packed() -> SessionLayout {
+        SessionLayout::pack(&PoolConfig::new(1, 2048, 256), 64).unwrap()
+    }
+
+    #[test]
+    fn packed_layout_validates_and_is_cache_line_aligned() {
+        let layout = packed();
+        assert_eq!(layout.pool_off, 0);
+        assert_eq!(layout.rx_off - layout.tx_off, 128 + 64 * 16);
+        assert_eq!(
+            layout.seg_len - layout.rx_off,
+            layout.rx_off - layout.tx_off
+        );
+        assert!(layout.tx_off.is_multiple_of(64) && layout.rx_off.is_multiple_of(64));
+        // 48 descriptors: not a power of two.
+        assert!(SessionLayout::pack(&PoolConfig::new(1, 64, 8), 48).is_err());
+        // Capacity 2 needs 128 + 32 bytes: rounded up to 192.
+        let small = SessionLayout::pack(&PoolConfig::new(1, 64, 8), 2).unwrap();
+        assert_eq!(small.rx_off - small.tx_off, 192);
+    }
+
+    /// Each crafted ack used to reach an `assert!`, an arithmetic
+    /// underflow or a wrapped bounds check in `IpcClient::attach`.
+    #[test]
+    fn malformed_acks_are_protocol_errors_not_panics() {
+        type Corrupt = fn(&mut SessionLayout);
+        let crafted: [(&str, Corrupt); 9] = [
+            ("tx ring before the pool", |a| a.pool_off = a.tx_off + 64),
+            ("capacity whose byte size wraps", |a| {
+                a.ring_capacity = 1 << 60
+            }),
+            ("capacity past 2^32", |a| a.ring_capacity = 1 << 33),
+            ("capacity not a power of two", |a| a.ring_capacity = 48),
+            ("zero capacity", |a| a.ring_capacity = 0),
+            ("rx ring past the segment", |a| a.rx_off = a.seg_len - 64),
+            ("tx offset that overflows", |a| a.tx_off = usize::MAX - 7),
+            ("misaligned ring", |a| a.rx_off += 4),
+            ("misaligned pool", |a| a.pool_off = 4),
+        ];
+        for (what, corrupt) in crafted {
+            let mut layout = packed();
+            corrupt(&mut layout);
+            assert!(
+                matches!(layout.validate(), Err(IpcError::Protocol(_))),
+                "{what}: accepted {layout:?}"
+            );
+        }
+    }
 
     #[test]
     fn two_mappings_of_one_file_share_bytes() {

@@ -40,15 +40,11 @@
 mod pool;
 mod pool_set;
 mod quota;
-#[cfg(not(loom))]
 mod segment;
 
-#[cfg(not(loom))]
-pub use pool::PoolLayout;
-pub use pool::{PoolConfig, PoolStats, SlotGuard, SlotPool, SlotToken, SlotView};
+pub use pool::{PoolConfig, PoolLayout, PoolStats, SlotGuard, SlotPool, SlotToken, SlotView};
 pub use pool_set::{PoolSet, PoolSetBuilder};
 pub use quota::{QuotaLedger, TenantId, TenantQuota, TenantUsage, DEFAULT_TENANT};
-#[cfg(not(loom))]
 pub use segment::Segment;
 
 use core::fmt;

@@ -10,9 +10,9 @@
 //!
 //! # Storage model
 //!
-//! In regular builds the pool's *entire* state — config header, usage
-//! counters, Treiber free list, state words, length words, and the slot
-//! bytes themselves — lives inside one [`Segment`] and is addressed
+//! The pool's *entire* state — config header, usage counters, free
+//! list, state words, length words, and the slot bytes themselves —
+//! lives inside one [`Segment`] and is addressed
 //! strictly by base-relative offsets (`PoolLayout`).  That is what lets
 //! the exact same bytes be mapped at different virtual addresses by
 //! different processes: the runtime daemon creates a pool in a
@@ -23,20 +23,23 @@
 //! [`SlotPool::force_reclaim`] is how the daemon retires a crashed
 //! client's outstanding checkouts.
 //!
-//! Under `cfg(loom)` the pool keeps its original boxed layout (shared
-//! mappings cannot hold loom-instrumented cells); the ownership
-//! protocol itself is identical, so the loom suite still model checks
-//! the state-word transitions (`tests/loom.rs`, DESIGN.md §7).
+//! The free list is [`insane_queues::FreeList`] run over the header's
+//! head and length words and the `next` array — the same Treiber loop
+//! as the boxed `FreeStack`, not a copy of it.
+//!
+//! There is one `Store` in every build.  The loom suite
+//! (`tests/loom.rs`, DESIGN.md §7) model checks this file as it ships —
+//! segment layout, create/attach, force-reclaim included — because the
+//! fork to instrumented atomics happens below it, in [`Segment`].
 
 use core::fmt;
 
-use insane_queues::sync::{Arc, AtomicU32, AtomicU64, Ordering};
+use insane_queues::sync::{Arc, AtomicU64, Ordering};
+use insane_queues::FreeList;
 
 use crate::quota::QuotaLedger;
-use crate::{MemoryError, PoolId, TenantId};
-
-#[cfg(not(loom))]
 use crate::segment::{align_up, Segment};
+use crate::{MemoryError, PoolId, TenantId};
 
 /// Construction parameters for a [`SlotPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,14 +180,13 @@ const fn unpack_state(word: u64) -> (u32, u32) {
 }
 
 // ---------------------------------------------------------------------------
-// Segment layout (regular builds)
+// Segment layout
 // ---------------------------------------------------------------------------
 
 /// Offsets of a pool laid out inside a segment.  Everything is derived
 /// from `(slot_size, slot_count)`, so two processes that agree on the
 /// config agree on the layout; the header repeats the config so an
 /// attaching process can also recover it from the bytes alone.
-#[cfg(not(loom))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolLayout {
     /// Free-list `next` array offset (`slot_count` × u32).
@@ -199,7 +201,6 @@ pub struct PoolLayout {
     pub total: usize,
 }
 
-#[cfg(not(loom))]
 mod hdr {
     //! Header word offsets (all `AtomicU64`).  The header occupies the
     //! first two cache lines; the free-list head gets its own line so
@@ -228,7 +229,6 @@ mod hdr {
     pub const VERSION_WORD: u64 = 1;
 }
 
-#[cfg(not(loom))]
 impl PoolLayout {
     /// Computes the layout for a pool configuration.
     ///
@@ -274,28 +274,29 @@ impl PoolLayout {
     }
 }
 
-const NIL: u32 = u32::MAX;
-
-/// Storage backend of a pool: segment-offset-addressed in regular
-/// builds.  All methods take indices already validated against
+/// Storage backend of a pool: everything addressed by offset into the
+/// segment.  All methods take indices already validated against
 /// `slot_count` (the public API bounds-checks before calling in).
-#[cfg(not(loom))]
 struct Store {
     segment: Segment,
     layout: PoolLayout,
     slot_size: usize,
+    slot_count: usize,
 }
 
-#[cfg(not(loom))]
 impl Store {
     fn state(&self, index: u32) -> &AtomicU64 {
         self.segment
             .atomic_u64(self.layout.states_off + index as usize * 8)
     }
 
-    fn len_word(&self, index: u32) -> &AtomicU32 {
-        self.segment
-            .atomic_u32(self.layout.lens_off + index as usize * 4)
+    fn set_len_word(&self, index: u32, len: usize) {
+        let lens = self
+            .segment
+            .atomic_u32s(self.layout.lens_off, self.slot_count);
+        if let Some(word) = lens.get(index as usize) {
+            word.store(len as u32, Ordering::Relaxed);
+        }
     }
 
     fn slot_ptr(&self, index: u32) -> *mut u8 {
@@ -310,194 +311,22 @@ impl Store {
         unsafe { self.segment.base_ptr().add(offset) }
     }
 
-    fn free_next(&self, index: u32) -> &AtomicU32 {
-        self.segment
-            .atomic_u32(self.layout.free_next_off + index as usize * 4)
-    }
-
-    /// Treiber push with an ABA tag in the high half of the head word
-    /// (same scheme as `insane_queues::FreeStack`, laid out in shared
-    /// memory so any attached process can release).
-    fn free_push(&self, index: u32) {
-        let head = self.segment.atomic_u64(hdr::FREE_HEAD);
-        let mut cur = head.load(Ordering::Acquire);
-        loop {
-            let (tag, top) = unpack_state(cur);
-            self.free_next(index).store(top, Ordering::Relaxed);
-            let new = pack_state(tag.wrapping_add(1), index);
-            match head.compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => {
-                    self.segment
-                        .atomic_u64(hdr::FREE_LEN)
-                        .fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    fn free_pop(&self) -> Option<u32> {
-        let head = self.segment.atomic_u64(hdr::FREE_HEAD);
-        let mut cur = head.load(Ordering::Acquire);
-        loop {
-            let (tag, top) = unpack_state(cur);
-            if top == NIL {
-                return None;
-            }
-            let below = self.free_next(top).load(Ordering::Relaxed);
-            let new = pack_state(tag.wrapping_add(1), below);
-            match head.compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => {
-                    self.segment
-                        .atomic_u64(hdr::FREE_LEN)
-                        .fetch_sub(1, Ordering::Relaxed);
-                    return Some(top);
-                }
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    fn free_len(&self) -> usize {
-        self.segment
-            .atomic_u64(hdr::FREE_LEN)
-            .load(Ordering::Relaxed) as usize
+    /// The free list, over words any attached process can reach.
+    fn free(&self) -> FreeList<'_> {
+        FreeList::new(
+            self.segment.atomic_u64(hdr::FREE_HEAD),
+            self.segment
+                .atomic_u32s(self.layout.free_next_off, self.slot_count),
+            self.segment.atomic_u64(hdr::FREE_LEN),
+        )
     }
 
     fn counter(&self, off: usize) -> &AtomicU64 {
         self.segment.atomic_u64(off)
     }
 
-    fn in_use_add(&self) -> u64 {
-        self.counter(hdr::IN_USE).fetch_add(1, Ordering::Relaxed) + 1
-    }
-
     fn in_use_sub(&self) {
         self.counter(hdr::IN_USE).fetch_sub(1, Ordering::Relaxed);
-    }
-
-    fn high_water_max(&self, v: u64) {
-        self.counter(hdr::HIGH_WATER)
-            .fetch_max(v, Ordering::Relaxed);
-    }
-
-    fn bump(&self, off: usize) {
-        self.counter(off).fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn load(&self, off: usize) -> u64 {
-        self.counter(off).load(Ordering::Relaxed)
-    }
-}
-
-/// Storage backend of a pool under loom: the original boxed layout, so
-/// every state word stays a loom-instrumented atomic the model checker
-/// can permute.
-#[cfg(loom)]
-struct Store {
-    backing: Box<[core::cell::UnsafeCell<u8>]>,
-    free: insane_queues::FreeStack,
-    states: Box<[AtomicU64]>,
-    lens: Box<[AtomicU32]>,
-    in_use: AtomicU64,
-    high_water: AtomicU64,
-    exhaustions: AtomicU64,
-    acquires: AtomicU64,
-    misuse: AtomicU64,
-    slot_size: usize,
-}
-
-#[cfg(loom)]
-mod hdr {
-    //! Counter selectors for the loom store (mirror the segment header
-    //! offsets so call sites are identical in both builds).
-    pub const IN_USE: usize = 48;
-    pub const HIGH_WATER: usize = 56;
-    pub const EXHAUSTIONS: usize = 64;
-    pub const ACQUIRES: usize = 72;
-    pub const MISUSE: usize = 80;
-}
-
-#[cfg(loom)]
-impl Store {
-    fn new(config: &PoolConfig) -> Self {
-        Self {
-            backing: (0..config.slot_size * config.slot_count)
-                .map(|_| core::cell::UnsafeCell::new(0u8))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            free: insane_queues::FreeStack::full(config.slot_count),
-            states: (0..config.slot_count)
-                .map(|_| AtomicU64::new(pack_state(0, 0)))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            lens: (0..config.slot_count)
-                .map(|_| AtomicU32::new(0))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            in_use: AtomicU64::new(0),
-            high_water: AtomicU64::new(0),
-            exhaustions: AtomicU64::new(0),
-            acquires: AtomicU64::new(0),
-            misuse: AtomicU64::new(0),
-            slot_size: config.slot_size,
-        }
-    }
-
-    // insane-lint: allow-fn(hot-path-panic) -- every index comes from the free list or a generation-validated token, both bounded by slot_count
-    fn state(&self, index: u32) -> &AtomicU64 {
-        &self.states[index as usize]
-    }
-
-    // insane-lint: allow-fn(hot-path-panic) -- every index comes from the free list or a generation-validated token, both bounded by slot_count
-    fn len_word(&self, index: u32) -> &AtomicU32 {
-        &self.lens[index as usize]
-    }
-
-    fn slot_ptr(&self, index: u32) -> *mut u8 {
-        let offset = index as usize * self.slot_size;
-        debug_assert!(offset + self.slot_size <= self.backing.len());
-        // SAFETY: `offset` is in bounds for the backing slice; the
-        // pointer is derived from the slice base so its provenance spans
-        // the whole allocation.
-        unsafe { core::cell::UnsafeCell::raw_get(self.backing.as_ptr().add(offset)) }
-    }
-
-    // insane-lint: allow-fn(hot-path-alloc) -- FreeStack is fixed-capacity; push never allocates
-    fn free_push(&self, index: u32) {
-        self.free.push(index);
-    }
-
-    fn free_pop(&self) -> Option<u32> {
-        self.free.pop()
-    }
-
-    fn free_len(&self) -> usize {
-        self.free.len()
-    }
-
-    fn counter(&self, off: usize) -> &AtomicU64 {
-        match off {
-            hdr::IN_USE => &self.in_use,
-            hdr::HIGH_WATER => &self.high_water,
-            hdr::EXHAUSTIONS => &self.exhaustions,
-            hdr::ACQUIRES => &self.acquires,
-            _ => &self.misuse,
-        }
-    }
-
-    fn in_use_add(&self) -> u64 {
-        self.counter(hdr::IN_USE).fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    fn in_use_sub(&self) {
-        self.counter(hdr::IN_USE).fetch_sub(1, Ordering::Relaxed);
-    }
-
-    fn high_water_max(&self, v: u64) {
-        self.counter(hdr::HIGH_WATER)
-            .fetch_max(v, Ordering::Relaxed);
     }
 
     fn bump(&self, off: usize) {
@@ -570,7 +399,6 @@ impl SlotPool {
     /// As [`SlotPool::new`], wiring the pool's releases into a tenant
     /// [`QuotaLedger`] (`base` is this pool's flat-index offset within
     /// the ledger's charge table).
-    #[cfg(not(loom))]
     pub(crate) fn with_ledger(
         config: PoolConfig,
         ledger: Option<(Arc<QuotaLedger>, usize)>,
@@ -580,27 +408,11 @@ impl SlotPool {
         Self::init_in_segment(config, segment, ledger)
     }
 
-    #[cfg(loom)]
-    pub(crate) fn with_ledger(
-        config: PoolConfig,
-        ledger: Option<(Arc<QuotaLedger>, usize)>,
-    ) -> Result<Self, MemoryError> {
-        config.validate()?;
-        Ok(Self {
-            inner: Arc::new(PoolInner {
-                store: Store::new(&config),
-                config,
-                ledger,
-            }),
-        })
-    }
-
     /// Bytes a segment must provide to host a pool with `config`.
     ///
     /// # Errors
     ///
     /// [`MemoryError::BadConfig`] on invalid configs.
-    #[cfg(not(loom))]
     pub fn required_segment_len(config: &PoolConfig) -> Result<usize, MemoryError> {
         Ok(PoolLayout::for_config(config)?.total)
     }
@@ -614,12 +426,10 @@ impl SlotPool {
     ///
     /// [`MemoryError::BadConfig`] if the config is invalid or the
     /// segment is too small.
-    #[cfg(not(loom))]
     pub fn create_in_segment(config: PoolConfig, segment: Segment) -> Result<Self, MemoryError> {
         Self::init_in_segment(config, segment, None)
     }
 
-    #[cfg(not(loom))]
     fn init_in_segment(
         config: PoolConfig,
         segment: Segment,
@@ -637,15 +447,9 @@ impl SlotPool {
             segment,
             layout,
             slot_size: config.slot_size,
+            slot_count: config.slot_count,
         };
-        store
-            .segment
-            .atomic_u64(hdr::FREE_HEAD)
-            .store(pack_state(0, NIL), Ordering::Relaxed);
-        // Push in reverse so slot 0 pops first (matches FreeStack::full).
-        for i in (0..config.slot_count as u32).rev() {
-            store.free_push(i);
-        }
+        store.free().fill();
         let seg = &store.segment;
         seg.atomic_u64(hdr::VERSION)
             .store(hdr::VERSION_WORD, Ordering::Relaxed);
@@ -680,7 +484,6 @@ impl SlotPool {
     ///
     /// [`MemoryError::BadConfig`] if the segment does not hold a ready,
     /// version-compatible pool of a size the segment can contain.
-    #[cfg(not(loom))]
     pub fn attach_segment(segment: Segment) -> Result<Self, MemoryError> {
         if segment.len() < hdr::END {
             return Err(MemoryError::BadConfig("segment smaller than pool header"));
@@ -712,6 +515,7 @@ impl SlotPool {
                     segment,
                     layout,
                     slot_size: config.slot_size,
+                    slot_count: config.slot_count,
                 },
                 ledger: None,
             }),
@@ -720,7 +524,6 @@ impl SlotPool {
 
     /// The segment this pool lives in (for address-range assertions in
     /// zero-copy tests and the IPC layer).
-    #[cfg(not(loom))]
     pub fn segment(&self) -> &Segment {
         &self.inner.store.segment
     }
@@ -737,7 +540,6 @@ impl SlotPool {
     /// The caller must ensure no *live* process still uses the pool's
     /// slots (the dead client can't, and the daemon drops its own
     /// references first).
-    #[cfg(not(loom))]
     pub fn force_reclaim(&self) -> usize {
         let mut reclaimed = 0;
         for index in 0..self.inner.config.slot_count as u32 {
@@ -755,7 +557,8 @@ impl SlotPool {
                             ledger.credit(base + index as usize);
                         }
                         self.inner.store.in_use_sub();
-                        self.inner.store.free_push(index);
+                        // insane-lint: allow(hot-path-alloc) -- FreeList::push is a CAS over fixed words; it never allocates
+                        self.inner.store.free().push(index);
                         reclaimed += 1;
                         break;
                     }
@@ -783,7 +586,7 @@ impl SlotPool {
 
     /// Number of slots currently free.
     pub fn free_slots(&self) -> usize {
-        self.inner.store.free_len()
+        self.inner.store.free().len()
     }
 
     /// Usage statistics snapshot.
@@ -817,13 +620,16 @@ impl SlotPool {
                 max: self.inner.config.slot_size,
             });
         }
-        let index = self.inner.store.free_pop().ok_or_else(|| {
+        let index = self.inner.store.free().pop().ok_or_else(|| {
             self.inner.store.bump(hdr::EXHAUSTIONS);
             self.exhausted(len)
         })?;
         self.inner.store.bump(hdr::ACQUIRES);
-        let in_use = self.inner.store.in_use_add();
-        self.inner.store.high_water_max(in_use);
+        let store = &self.inner.store;
+        let in_use = store.counter(hdr::IN_USE).fetch_add(1, Ordering::Relaxed) + 1;
+        store
+            .counter(hdr::HIGH_WATER)
+            .fetch_max(in_use, Ordering::Relaxed);
         // Popping the free list gave us exclusive ownership of the slot
         // (refcount is 0 and no token can match its generation), so a plain
         // load + store cannot race with any other state transition.
@@ -831,10 +637,7 @@ impl SlotPool {
         let (generation, refs) = unpack_state(state.load(Ordering::Acquire));
         debug_assert_eq!(refs, 0, "slot on the free list with live references");
         state.store(pack_state(generation, 1), Ordering::Release);
-        self.inner
-            .store
-            .len_word(index)
-            .store(len as u32, Ordering::Relaxed);
+        self.inner.store.set_len_word(index, len);
         Ok(SlotGuard {
             pool: self.clone(),
             index,
@@ -954,7 +757,7 @@ impl SlotPool {
                             ledger.credit(base + index as usize);
                         }
                         self.inner.store.in_use_sub();
-                        self.inner.store.free_push(index);
+                        self.inner.store.free().push(index);
                     }
                     return Ok(());
                 }
@@ -1064,11 +867,7 @@ impl SlotGuard {
             self.pool.slot_size()
         );
         self.len = len;
-        self.pool
-            .inner
-            .store
-            .len_word(self.index)
-            .store(len as u32, Ordering::Relaxed);
+        self.pool.inner.store.set_len_word(self.index, len);
     }
 
     /// Converts the guard into a transferable token, *without* releasing

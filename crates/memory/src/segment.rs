@@ -21,40 +21,163 @@
 //!   wraps `mmap` regions this way).  The caller proves validity and
 //!   supplies a keep-alive object that owns the mapping.
 //!
-//! Atomics inside a segment are plain `core::sync::atomic` types: a
-//! shared file mapping cannot hold loom-instrumented cells, so the
-//! model-checked variant of the pool (`cfg(loom)`) keeps its original
-//! boxed layout instead (see `pool.rs`).
+//! # Under loom
+//!
+//! A byte region cannot hold loom-instrumented cells, so this file is
+//! where the model-checked build forks — and the only place in the
+//! crate that does.  Under `cfg(loom)`, [`Segment::heap`] keeps one
+//! [`sync`](insane_queues::sync) atomic per 8-byte and per 4-byte word
+//! of the region next to a plain byte area for the slot payloads;
+//! `atomic_u64`/`atomic_u32s` hand out the former and `base_ptr` the
+//! latter, by the same offsets.  Everything above — the pool's layout,
+//! free list, state words, `create_in_segment`, `attach_segment`,
+//! `force_reclaim` — is therefore the same code in both builds, with
+//! every shared word visible to the model checker.  `from_raw` does
+//! not exist under loom.
 
-use core::sync::atomic::{AtomicU32, AtomicU64};
 use std::sync::Arc;
+
+use insane_queues::sync::{AtomicU32, AtomicU64};
 
 use crate::MemoryError;
 
-/// One cache line of interior-mutable bytes.  Heap backings are built
-/// from these so the segment base is 64-byte aligned — the layout puts
-/// atomics on cache-line boundaries and an `AtomicU64` reference at a
-/// misaligned address is undefined behavior (mmap'd backings are page
-/// aligned for free).
-#[repr(align(64))]
-struct Chunk(
-    // Accessed exclusively through raw pointers derived from the slice
-    // base, so the field never appears "read" to rustc.
-    #[allow(dead_code)] [core::cell::UnsafeCell<u8>; 64],
-);
+#[cfg(not(loom))]
+mod backing {
+    use super::{AtomicU32, AtomicU64};
 
-/// Backing storage for a [`Segment`].
-enum Backing {
-    /// Process-private zeroed allocation.
-    Heap(Box<[Chunk]>),
-    /// Externally owned region (e.g. an `mmap` of a memfd).  `_keep`
-    /// owns the mapping and releases it when the last segment handle
-    /// drops.
-    Raw {
-        base: *mut u8,
-        _keep: Box<dyn core::any::Any + Send + Sync>,
-    },
+    /// One cache line of interior-mutable bytes.  Heap backings are built
+    /// from these so the segment base is 64-byte aligned — the layout puts
+    /// atomics on cache-line boundaries and an `AtomicU64` reference at a
+    /// misaligned address is undefined behavior (mmap'd backings are page
+    /// aligned for free).
+    #[repr(align(64))]
+    pub struct Chunk(
+        // Accessed exclusively through raw pointers derived from the slice
+        // base, so the field never appears "read" to rustc.
+        #[allow(dead_code)] [core::cell::UnsafeCell<u8>; 64],
+    );
+
+    /// Backing storage for a [`Segment`](super::Segment).
+    pub enum Backing {
+        /// Process-private zeroed allocation.
+        Heap(Box<[Chunk]>),
+        /// Externally owned region (e.g. an `mmap` of a memfd).  `_keep`
+        /// owns the mapping and releases it when the last segment handle
+        /// drops.
+        Raw {
+            base: *mut u8,
+            _keep: Box<dyn core::any::Any + Send + Sync>,
+        },
+    }
+
+    impl Backing {
+        pub fn heap(len: usize) -> Self {
+            Backing::Heap(
+                (0..len.div_ceil(64))
+                    .map(|_| Chunk(core::array::from_fn(|_| core::cell::UnsafeCell::new(0u8))))
+                    .collect(),
+            )
+        }
+
+        pub fn base(&self) -> *mut u8 {
+            match self {
+                // The pointer is derived from the slice base so its
+                // provenance spans the whole allocation (required under
+                // Miri's strict provenance; see `SlotPool::slot_ptr`).  The
+                // bytes sit inside `UnsafeCell`s, so writing through this
+                // pointer is sound even though it derives from a shared
+                // reference.
+                Backing::Heap(chunks) => chunks.as_ptr().cast::<u8>().cast_mut(),
+                Backing::Raw { base, .. } => *base,
+            }
+        }
+
+        /// # Safety
+        ///
+        /// `at + 8` must lie inside the backing and `at` be 8-aligned.
+        // SAFETY: callers uphold the contract above.
+        pub unsafe fn atomic_u64(&self, at: usize) -> &AtomicU64 {
+            // SAFETY: in bounds and aligned by the caller's contract; the
+            // bytes live behind interior-mutability backing and all
+            // concurrent access goes through atomic operations.
+            unsafe { &*(self.base().add(at) as *const AtomicU64) }
+        }
+
+        /// # Safety
+        ///
+        /// `at + 4 * count` must lie inside the backing and `at` be
+        /// 4-aligned.
+        // SAFETY: callers uphold the contract above.
+        pub unsafe fn atomic_u32s(&self, at: usize, count: usize) -> &[AtomicU32] {
+            // SAFETY: as `atomic_u64`, for `count` consecutive words.
+            unsafe { core::slice::from_raw_parts(self.base().add(at) as *const AtomicU32, count) }
+        }
+
+        /// # Safety
+        ///
+        /// `at + len` must lie inside the backing, and no one else may be
+        /// using those bytes.
+        // SAFETY: callers uphold the contract above.
+        pub unsafe fn zero(&self, at: usize, len: usize) {
+            // SAFETY: in bounds and exclusive by the caller's contract.
+            unsafe { core::ptr::write_bytes(self.base().add(at), 0, len) };
+        }
+    }
 }
+
+#[cfg(loom)]
+mod backing {
+    use super::{AtomicU32, AtomicU64};
+    use insane_queues::sync::Ordering;
+
+    /// The model-checked stand-in for a byte region: word `i` of each
+    /// width is its own instrumented atomic, addressed by the byte
+    /// offset it would have in the real layout.
+    pub struct Backing {
+        words: Box<[AtomicU64]>,
+        halves: Box<[AtomicU32]>,
+        bytes: Box<[core::cell::UnsafeCell<u8>]>,
+    }
+
+    impl Backing {
+        pub fn heap(len: usize) -> Self {
+            Self {
+                words: (0..len.div_ceil(8)).map(|_| AtomicU64::new(0)).collect(),
+                halves: (0..len.div_ceil(4)).map(|_| AtomicU32::new(0)).collect(),
+                bytes: (0..len).map(|_| core::cell::UnsafeCell::new(0u8)).collect(),
+            }
+        }
+
+        pub fn base(&self) -> *mut u8 {
+            core::cell::UnsafeCell::raw_get(self.bytes.as_ptr())
+        }
+
+        // SAFETY: nothing to uphold here; `unsafe` mirrors the real backing's signature.
+        pub unsafe fn atomic_u64(&self, at: usize) -> &AtomicU64 {
+            &self.words[at / 8]
+        }
+
+        // SAFETY: as `atomic_u64`.
+        pub unsafe fn atomic_u32s(&self, at: usize, count: usize) -> &[AtomicU32] {
+            &self.halves[at / 4..at / 4 + count]
+        }
+
+        // SAFETY: as `atomic_u64`.
+        pub unsafe fn zero(&self, at: usize, len: usize) {
+            // Every word the range touches (pools zero whole cache lines).
+            for word in &self.words[at / 8..(at + len).div_ceil(8)] {
+                word.store(0, Ordering::Relaxed);
+            }
+            for half in &self.halves[at / 4..(at + len).div_ceil(4)] {
+                half.store(0, Ordering::Relaxed);
+            }
+            // SAFETY: `at + len` is in bounds (checked by `Segment::zero`).
+            unsafe { core::ptr::write_bytes(self.base().add(at), 0, len) };
+        }
+    }
+}
+
+use backing::Backing;
 
 // SAFETY: the bytes behind a segment are only ever accessed through the
 // slot-pool/ring ownership protocols layered on top (state-word CAS,
@@ -63,21 +186,6 @@ enum Backing {
 unsafe impl Send for Backing {}
 // SAFETY: as above — shared handles expose no unsynchronized mutation.
 unsafe impl Sync for Backing {}
-
-impl Backing {
-    fn base(&self) -> *mut u8 {
-        match self {
-            // The pointer is derived from the slice base so its
-            // provenance spans the whole allocation (required under
-            // Miri's strict provenance; see `SlotPool::slot_ptr`).  The
-            // bytes sit inside `UnsafeCell`s, so writing through this
-            // pointer is sound even though it derives from a shared
-            // reference.
-            Backing::Heap(chunks) => chunks.as_ptr().cast::<u8>().cast_mut(),
-            Backing::Raw { base, .. } => *base,
-        }
-    }
-}
 
 /// A contiguous byte region addressed by base-relative offsets.
 ///
@@ -98,13 +206,6 @@ impl core::fmt::Debug for Segment {
         f.debug_struct("Segment")
             .field("start", &self.start)
             .field("len", &self.len)
-            .field(
-                "backing",
-                match &*self.backing {
-                    Backing::Heap(_) => &"heap",
-                    Backing::Raw { .. } => &"raw",
-                },
-            )
             .finish()
     }
 }
@@ -113,12 +214,8 @@ impl Segment {
     /// Allocates a zeroed, 64-byte-aligned process-private segment of
     /// `len` bytes (rounded up to whole cache lines internally).
     pub fn heap(len: usize) -> Self {
-        let chunks = (0..len.div_ceil(64))
-            .map(|_| Chunk(core::array::from_fn(|_| core::cell::UnsafeCell::new(0u8))))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         Self {
-            backing: Arc::new(Backing::Heap(chunks)),
+            backing: Arc::new(Backing::heap(len)),
             start: 0,
             len,
         }
@@ -134,6 +231,7 @@ impl Segment {
     /// the last segment handle releases it.  The region must not be
     /// accessed by this process through any other alias while pool or
     /// ring protocols run over it.
+    #[cfg(not(loom))]
     // SAFETY: callers uphold the `# Safety` contract above.
     pub unsafe fn from_raw(
         base: *mut u8,
@@ -208,30 +306,31 @@ impl Segment {
     // insane-lint: allow-fn(hot-path-panic) -- the assert is the documented bounds/alignment proof; every offset is a compile-time layout constant
     pub fn atomic_u64(&self, offset: usize) -> &AtomicU64 {
         assert!(
-            (self.start + offset).is_multiple_of(core::mem::align_of::<AtomicU64>())
-                && offset + 8 <= self.len,
+            (self.start + offset).is_multiple_of(8) && offset + 8 <= self.len,
             "misaligned or out-of-bounds atomic_u64 offset {offset}"
         );
-        // SAFETY: the offset is in bounds and aligned (asserted above);
-        // the bytes live behind interior-mutability backing and all
-        // concurrent access goes through atomic operations.
-        unsafe { &*(self.base_ptr().add(offset) as *const AtomicU64) }
+        // SAFETY: in bounds and aligned (asserted above; `slice` keeps
+        // every window inside the backing).
+        unsafe { self.backing.atomic_u64(self.start + offset) }
     }
 
-    /// Returns the `AtomicU32` living at `offset`.
+    /// Returns the `count` consecutive `AtomicU32`s living at `offset`.
     ///
     /// # Panics
     ///
     /// As [`Segment::atomic_u64`].
     // insane-lint: allow-fn(hot-path-panic) -- the assert is the documented bounds/alignment proof; every offset is a compile-time layout constant
-    pub fn atomic_u32(&self, offset: usize) -> &AtomicU32 {
+    pub fn atomic_u32s(&self, offset: usize, count: usize) -> &[AtomicU32] {
         assert!(
-            (self.start + offset).is_multiple_of(core::mem::align_of::<AtomicU32>())
-                && offset + 4 <= self.len,
-            "misaligned or out-of-bounds atomic_u32 offset {offset}"
+            (self.start + offset).is_multiple_of(4)
+                && count
+                    .checked_mul(4)
+                    .and_then(|bytes| bytes.checked_add(offset))
+                    .is_some_and(|end| end <= self.len),
+            "misaligned or out-of-bounds atomic_u32s offset {offset}"
         );
         // SAFETY: as in `atomic_u64`.
-        unsafe { &*(self.base_ptr().add(offset) as *const AtomicU32) }
+        unsafe { self.backing.atomic_u32s(self.start + offset, count) }
     }
 
     /// Zeroes `[offset, offset + len)`.
@@ -247,7 +346,7 @@ impl Segment {
         // SAFETY: range is in bounds; exclusive use during
         // initialization is the caller's contract (pools zero their
         // regions before publishing the ready flag).
-        unsafe { core::ptr::write_bytes(self.base_ptr().add(offset), 0, len) };
+        unsafe { self.backing.zero(self.start + offset, len) };
     }
 }
 

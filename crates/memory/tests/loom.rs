@@ -1,17 +1,28 @@
-//! Loom model-checking suite for the slot pool's packed-state protocol.
+//! Loom model-checking suite for the slot pool.
 //!
 //! Run with: `RUSTFLAGS="--cfg loom" cargo test -p insane-memory --release
-//! --test loom`.  The pool's generation/refcount word and counters go
-//! through the `insane_queues::sync` shim, so loom explores the ownership
-//! transitions themselves (payload bytes are exercised by Miri and the
-//! sanitizer jobs instead; see DESIGN.md §7).
+//! --test loom`.  Under that cfg `Segment::heap` hands the pool
+//! `insane_queues::sync` atomics for every word of its layout — header,
+//! counters, free-list head and `next` array, state words — so the models
+//! below run the segment-backed `Store` that ships, including
+//! `create_in_segment`/`attach_segment` and `force_reclaim` (payload bytes
+//! are exercised by Miri and the sanitizer jobs instead; see DESIGN.md §7).
 #![cfg(loom)]
 
-use insane_memory::{MemoryError, PoolConfig, SlotPool};
+use insane_memory::{MemoryError, PoolConfig, Segment, SlotPool};
 use loom::thread;
 
 fn pool(slots: usize) -> SlotPool {
     SlotPool::new(PoolConfig::new(7, 64, slots)).expect("pool config is valid")
+}
+
+/// A segment holding a freshly created pool, as the daemon sets one up.
+fn segment_pool(slots: usize) -> (SlotPool, Segment) {
+    let config = PoolConfig::new(7, 64, slots);
+    let len = SlotPool::required_segment_len(&config).expect("pool config is valid");
+    let segment = Segment::heap(len);
+    let pool = SlotPool::create_in_segment(config, segment.clone()).expect("segment fits");
+    (pool, segment)
 }
 
 /// The paper's lend → emit → release cycle across two threads: the
@@ -105,5 +116,75 @@ fn concurrent_view_drops_free_the_slot_exactly_once() {
         // The final decrement bumped the generation: the original token
         // (and any copy of it) is stale, never an alias of the next owner.
         assert_eq!(p.view(token).err(), Some(MemoryError::StaleToken));
+    });
+}
+
+/// The cross-process ownership story: the daemon's handle
+/// (`create_in_segment`) and a client's handle (`attach_segment`) run
+/// acquire/release against the *same* free-list and state words.  While
+/// both hold a slot they must hold different ones, and a token minted
+/// through one handle must be releasable through the other.
+#[test]
+fn created_and_attached_handles_share_one_segment() {
+    loom::model(|| {
+        let (daemon, segment) = segment_pool(2);
+        let client = SlotPool::attach_segment(segment).expect("creator published the pool");
+        let client_thread = thread::spawn(move || {
+            for _ in 0..2 {
+                let mut guard = client.acquire(8).expect("two handles, two slots");
+                guard.fill(0x55);
+                thread::yield_now();
+                assert!(guard.iter().all(|&b| b == 0x55), "slot lent out twice");
+            }
+            client
+                .acquire(4)
+                .expect("two handles, two slots")
+                .into_token()
+        });
+        for _ in 0..2 {
+            let mut guard = daemon.acquire(8).expect("two handles, two slots");
+            guard.fill(0xaa);
+            thread::yield_now();
+            assert!(guard.iter().all(|&b| b == 0xaa), "slot lent out twice");
+        }
+        let token = client_thread.join().unwrap();
+        assert_eq!(daemon.stats().in_use, 1);
+        daemon.release(token).expect("client-minted token is live");
+        let stats = daemon.stats();
+        assert_eq!(stats.in_use, 0);
+        assert_eq!(stats.acquires, 5);
+        assert_eq!(stats.misuse_rejections, 0);
+        assert_eq!(daemon.free_slots(), 2);
+    });
+}
+
+/// Crash recovery racing a not-quite-dead client: `force_reclaim` and a
+/// stale `SlotGuard` drop both try to retire the same checkout.  Exactly
+/// one release wins (the loser is a counted misuse, not a second free),
+/// and no slot leaks.
+#[test]
+fn force_reclaim_racing_a_guard_drop_frees_the_slot_exactly_once() {
+    loom::model(|| {
+        let (pool, _segment) = segment_pool(2);
+        let guard = pool.acquire(4).expect("fresh pool has free slots");
+        let reclaimer = {
+            let pool = pool.clone();
+            thread::spawn(move || pool.force_reclaim())
+        };
+        drop(guard);
+        let reclaimed = reclaimer.join().unwrap();
+        let stats = pool.stats();
+        assert!(reclaimed <= 1);
+        assert_eq!(
+            stats.misuse_rejections, reclaimed as u64,
+            "the guard drop loses exactly when the reclaim won"
+        );
+        assert_eq!(stats.in_use, 0, "checkout retired twice or not at all");
+        assert_eq!(pool.free_slots(), 2, "slot leaked or freed twice");
+        // Freed exactly once: both slots come back out, and they differ.
+        let a = pool.acquire(1).expect("slot 1 of 2");
+        let b = pool.acquire(1).expect("slot 2 of 2");
+        assert_ne!(a.token().index(), b.token().index());
+        assert!(pool.acquire(1).is_err());
     });
 }

@@ -5,14 +5,18 @@
 //! zero-copy design of the paper (§5.3).  The queues in this crate implement
 //! that exchange without locks on the critical path:
 //!
-//! * [`spsc`] — a bounded single-producer/single-consumer ring in the style
-//!   of the DPDK ring library, used for the per-application TX and RX token
-//!   queues.
+//! * [`ring`] — one bounded single-producer/single-consumer Lamport ring
+//!   (DPDK-ring style), generic over where its cells live.  Over a
+//!   shared-memory region ([`ShmProducer`]/[`ShmConsumer`]) it is the
+//!   client↔daemon descriptor ring of `insane-ipc`; over heap cells
+//!   ([`channel`]) it is the storage the loom suite instruments.
 //! * [`mpmc`] — a bounded multi-producer/multi-consumer array queue (Vyukov
-//!   sequence-number design), used where several application threads feed a
-//!   single runtime polling thread.
-//! * [`free_stack`] — a lock-free Treiber stack over `u32` indices with an
-//!   ABA tag, used by the memory manager as its free-slot list.
+//!   sequence-number design).  Every TX and sink token queue inside
+//!   `insane-core` is one of these: several application threads feed a
+//!   runtime polling thread.
+//! * [`free_stack`] — a lock-free Treiber list over `u32` indices with an
+//!   ABA tag: [`FreeList`] runs over borrowed words (the slot pool's
+//!   in-segment free list), [`FreeStack`] owns its words.
 //! * [`snapshot`] — a published-snapshot cell (atomic `Arc` pointer swap)
 //!   for read-mostly control state: writers publish a complete new value,
 //!   hot-path readers pay one atomic load per poll iteration.
@@ -23,15 +27,16 @@
 //! Every atomic and interior-mutability cell goes through the [`sync`]
 //! shim, which resolves to [`loom`](https://docs.rs/loom) instrumented
 //! types under `RUSTFLAGS="--cfg loom"` and to the real `core`/`std`
-//! primitives otherwise.  The loom model-checking suite lives in
-//! `tests/loom.rs`; see DESIGN.md §7 for the full verification matrix.
+//! primitives otherwise — except the two index words of a
+//! [`ring::Region`], which live in a shared mapping and are plain `core`
+//! atomics in every build.  The loom model-checking suite lives in
+//! `tests/loom.rs`; see DESIGN.md §7 for which storage each model runs
+//! which algorithm over.
 //!
 //! # Examples
 //!
 //! ```
-//! use insane_queues::spsc;
-//!
-//! let (tx, rx) = spsc::channel::<u64>(8);
+//! let (tx, rx) = insane_queues::channel::<u64>(8);
 //! tx.push(7).unwrap();
 //! assert_eq!(rx.pop(), Some(7));
 //! ```
@@ -41,19 +46,15 @@
 
 pub mod free_stack;
 pub mod mpmc;
-#[cfg(not(loom))]
-pub mod shm_spsc;
+pub mod ring;
 pub mod snapshot;
-pub mod spsc;
 #[doc(hidden)]
 pub mod sync;
 
-pub use free_stack::FreeStack;
+pub use free_stack::{FreeList, FreeStack};
 pub use mpmc::MpmcQueue;
-#[cfg(not(loom))]
-pub use shm_spsc::{ring_bytes, Descriptor, ShmConsumer, ShmProducer};
+pub use ring::{channel, ring_bytes, Descriptor, Receiver, Sender, ShmConsumer, ShmProducer};
 pub use snapshot::SnapshotCell;
-pub use spsc::{channel, PopError, PushError, Receiver, Sender};
 
 /// Pads and aligns a value to a cache line (64 bytes on the targets we care
 /// about) so that hot atomics owned by different threads do not false-share.

@@ -17,15 +17,13 @@
 pub use loom::{
     cell::UnsafeCell,
     hint,
-    sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering},
+    sync::atomic::{fence, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering},
     sync::Arc,
     thread,
 };
 
 #[cfg(not(loom))]
-pub use core::sync::atomic::{
-    fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
-};
+pub use core::sync::atomic::{fence, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 #[cfg(not(loom))]
 pub use std::sync::Arc;
 #[cfg(not(loom))]

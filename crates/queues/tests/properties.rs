@@ -1,6 +1,6 @@
 //! Property-based tests for the queue primitives.
 
-use insane_queues::{spsc, FreeStack, MpmcQueue};
+use insane_queues::{channel, FreeStack, MpmcQueue};
 use proptest::prelude::*;
 
 proptest! {
@@ -10,7 +10,7 @@ proptest! {
     #[test]
     fn spsc_is_fifo_and_lossless(ops in proptest::collection::vec(any::<bool>(), 1..400),
                                  cap in 1usize..32) {
-        let (tx, rx) = spsc::channel::<u64>(cap);
+        let (tx, rx) = channel::<u64>(cap);
         let mut next_push = 0u64;
         let mut next_expect = 0u64;
         let mut queued = 0usize;

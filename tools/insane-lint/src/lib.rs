@@ -719,7 +719,7 @@ mod tests {
     #[test]
     fn undocumented_unsafe_in_whitelisted_crate() {
         let rules = lint(
-            "crates/queues/src/spsc.rs",
+            "crates/queues/src/ring.rs",
             "fn f(p: *mut u8) { unsafe { *p = 0 }; }\n",
         );
         assert_eq!(rules, vec!["safety-comment"]);

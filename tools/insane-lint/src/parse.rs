@@ -401,7 +401,10 @@ pub fn parse_file(rel: &str, lexed: Lexed, test_file: bool) -> ParsedFile {
 /// Matches `#[test]`, `#[should_panic...]`, and any `#[cfg(...)]` whose
 /// arguments contain the bare ident `test` (so `cfg(all(test, ...))`
 /// counts but `cfg(feature = "test-util")` does not — feature names are
-/// string literals, not idents).
+/// string literals, not idents).  `#[cfg(loom)]` counts too: code built
+/// only for the model checker never ships, so it is no more on a hot
+/// path than a unit test is (`cfg(not(loom))` is the shipped side and
+/// does not count).
 fn attr_is_test(attr: &[Token]) -> bool {
     let idents: Vec<&str> = attr
         .iter()
@@ -410,7 +413,10 @@ fn attr_is_test(attr: &[Token]) -> bool {
         .collect();
     match idents.first() {
         Some(&"test") | Some(&"should_panic") => true,
-        Some(&"cfg") => idents[1..].contains(&"test"),
+        Some(&"cfg") => {
+            idents[1..].contains(&"test")
+                || (idents[1..].contains(&"loom") && !idents[1..].contains(&"not"))
+        }
         _ => false,
     }
 }
@@ -497,6 +503,15 @@ mod tests {
         assert!(by_name("helper").is_test);
         assert!(by_name("unit").is_test);
         assert!(!by_name("real").is_test);
+    }
+
+    #[test]
+    fn cfg_loom_code_never_ships_but_cfg_not_loom_does() {
+        let src = "#[cfg(loom)]\nmod backing {\n  fn model() {}\n}\n#[cfg(not(loom))]\nmod backing {\n  fn shipped() {}\n}\n";
+        let p = parse(src);
+        let by_name = |n: &str| p.fns.iter().find(|f| f.name == n).unwrap();
+        assert!(by_name("model").is_test);
+        assert!(!by_name("shipped").is_test);
     }
 
     #[test]
