@@ -1,8 +1,10 @@
 //! One entry point per table/figure of the paper's evaluation.
 //!
 //! Each function prints the same rows/series the paper reports and
-//! writes a CSV under `target/experiments/`.  DESIGN.md carries the
-//! experiment ↔ module index; EXPERIMENTS.md records paper-vs-measured.
+//! writes a CSV under `target/experiments/`; all share one signature,
+//! the driver's suite table (`main.rs`) being a list of them.  DESIGN.md
+//! carries the experiment ↔ module index; EXPERIMENTS.md records
+//! paper-vs-measured.
 
 use insane_fabric::{Technology, TestbedProfile};
 
@@ -21,7 +23,7 @@ fn profiles() -> [TestbedProfile; 2] {
 }
 
 /// Table 1: the end-host networking technology comparison.
-pub fn table1() {
+pub fn table1() -> Result<(), BenchError> {
     let mut table = Table::new(
         "Table 1 — end-host networking options",
         &[
@@ -50,10 +52,11 @@ pub fn table1() {
     }
     table.print();
     table.write_csv("table1_technologies");
+    Ok(())
 }
 
 /// Table 2: the two testbeds.
-pub fn table2() {
+pub fn table2() -> Result<(), BenchError> {
     let mut table = Table::new(
         "Table 2 — testbeds",
         &["Testbed", "OS", "CPU", "RAM", "NIC", "Switch"],
@@ -73,6 +76,7 @@ pub fn table2() {
     }
     table.print();
     table.write_csv("table2_testbeds");
+    Ok(())
 }
 
 /// Table 3: LoC of the benchmarking application per interface.
@@ -376,7 +380,7 @@ pub fn fig9b() -> Result<(), BenchError> {
 }
 
 /// Table 4: sizes of the streamed images.
-pub fn table4() {
+pub fn table4() -> Result<(), BenchError> {
     let mut table = Table::new(
         "Table 4 — streamed image sizes",
         &["Resolution", "Size (MB)"],
@@ -386,6 +390,7 @@ pub fn table4() {
     }
     table.print();
     table.write_csv("table4_images");
+    Ok(())
 }
 
 /// Fig. 11: streaming FPS and per-frame latency vs resolution.

@@ -1,467 +1,117 @@
-//! BENCH JSON export (`BENCH_latency.json` / `BENCH_throughput.json`).
+//! BENCH JSON export.
 //!
 //! The experiment tables print for humans; the BENCH files are the
 //! machine-readable record: schema-tagged JSON documents written next
-//! to the CSVs under `target/experiments/`, validated by
-//! [`insane_telemetry::schema`] on both ends (the writer here, and
-//! `insanectl check-bench` / the CI bench-smoke job after the fact).
+//! to the CSVs under `target/experiments/`.  What each file holds and
+//! which gates it must pass is [`insane_telemetry::schema::BENCH_FILES`];
+//! [`write`] holds a document to that contract before it reaches the
+//! disk, `insanectl check-bench` and the CI bench-smoke job after.
+//! Each record's rows are built by the module that measures them.
 
 use std::fs;
-use std::path::PathBuf;
 
-use insane_telemetry::{
-    validate_bench_hotpath, validate_bench_ipc, validate_bench_isolation, validate_bench_latency,
-    validate_bench_noisy_neighbor, validate_bench_throughput, Value, BENCH_HOTPATH_SCHEMA,
-    BENCH_IPC_SCHEMA, BENCH_ISOLATION_SCHEMA, BENCH_LATENCY_SCHEMA, BENCH_NOISY_NEIGHBOR_SCHEMA,
-    BENCH_THROUGHPUT_SCHEMA,
-};
+use insane_fabric::TestbedProfile;
+use insane_telemetry::schema::{self, BenchSpec};
+use insane_telemetry::Value;
 
+use crate::latency::{self, rtt_series, System};
 use crate::report::experiments_dir;
-use crate::stats::Series;
-use crate::BenchError;
+use crate::throughput::{self, goodput_gbps, TputSystem};
+use crate::{iters, BenchError};
 
-/// One latency measurement: a system × testbed × payload RTT series.
-#[derive(Debug, Clone)]
-pub struct LatencyEntry {
-    /// System label as printed in the tables (e.g. "INSANE fast").
-    pub system: String,
-    /// Testbed profile name.
-    pub testbed: String,
-    /// Payload size in bytes.
-    pub payload_bytes: usize,
-    /// The measured RTT samples, nanoseconds.
-    pub series: Series,
-}
-
-impl LatencyEntry {
-    fn to_value(&self) -> Value {
-        Value::object([
-            ("system", self.system.as_str().into()),
-            ("testbed", self.testbed.as_str().into()),
-            ("payload_bytes", (self.payload_bytes as u64).into()),
-            ("samples", (self.series.len() as u64).into()),
-            ("p50_ns", self.series.median().into()),
-            ("p90_ns", self.series.p90().into()),
-            ("p99_ns", self.series.p99().into()),
-            ("p999_ns", self.series.p999().into()),
-            ("mean_ns", self.series.mean().into()),
-            ("min_ns", self.series.min().into()),
-            ("max_ns", self.series.max().into()),
-        ])
-    }
-}
-
-/// One throughput measurement: a system × testbed × payload goodput.
-#[derive(Debug, Clone)]
-pub struct ThroughputEntry {
-    /// System label as printed in the tables.
-    pub system: String,
-    /// Testbed profile name.
-    pub testbed: String,
-    /// Payload size in bytes.
-    pub payload_bytes: usize,
-    /// Number of messages pushed through the pipeline.
-    pub messages: usize,
-    /// Measured goodput in Gbit/s.
-    pub goodput_gbps: f64,
-}
-
-impl ThroughputEntry {
-    fn to_value(&self) -> Value {
-        Value::object([
-            ("system", self.system.as_str().into()),
-            ("testbed", self.testbed.as_str().into()),
-            ("payload_bytes", (self.payload_bytes as u64).into()),
-            ("messages", (self.messages as u64).into()),
-            ("goodput_gbps", self.goodput_gbps.into()),
-        ])
-    }
-}
-
-/// One noisy-neighbor isolation measurement: the victim tenant's p99
-/// solo vs contended, plus the tenants' typed-rejection counts.
-#[derive(Debug, Clone)]
-pub struct NoisyNeighborEntry {
-    /// System label as printed in the tables.
-    pub system: String,
-    /// Testbed profile name.
-    pub testbed: String,
-    /// Payload size in bytes.
-    pub payload_bytes: usize,
-    /// Victim RTT samples per phase.
-    pub samples: usize,
-    /// Victim p99 with no bulk traffic, nanoseconds.
-    pub solo_p99_ns: u64,
-    /// Victim p99 under bulk saturation, nanoseconds.
-    pub contended_p99_ns: u64,
-    /// Contended/solo p99 ratio in thousandths (fixed point).
-    pub isolation_ratio_x1000: u64,
-    /// Maximum permitted ratio in thousandths.
-    pub bound_x1000: u64,
-    /// Typed refusals the saturating tenant received (must be ≥ 1).
-    pub bulk_rejections: u64,
-    /// Typed refusals the victim received (must be 0).
-    pub victim_rejections: u64,
-}
-
-impl NoisyNeighborEntry {
-    fn to_value(&self) -> Value {
-        Value::object([
-            ("system", self.system.as_str().into()),
-            ("testbed", self.testbed.as_str().into()),
-            ("payload_bytes", (self.payload_bytes as u64).into()),
-            ("samples", (self.samples as u64).into()),
-            ("solo_p99_ns", self.solo_p99_ns.into()),
-            ("contended_p99_ns", self.contended_p99_ns.into()),
-            ("isolation_ratio_x1000", self.isolation_ratio_x1000.into()),
-            ("bound_x1000", self.bound_x1000.into()),
-            ("bulk_rejections", self.bulk_rejections.into()),
-            ("victim_rejections", self.victim_rejections.into()),
-        ])
-    }
-}
-
-/// One mixed-criticality load point: the critical flow's one-way
-/// latency quantiles at a given bulk burst size, plus the timing-gate
-/// and fault-injection record (see `BENCH_isolation.json` and
-/// DESIGN.md §14).
-#[derive(Debug, Clone)]
-pub struct IsolationEntry {
-    /// System label as printed in the tables.
-    pub system: String,
-    /// Testbed profile name.
-    pub testbed: String,
-    /// Delivered critical one-way samples at this load point.
-    pub samples: usize,
-    /// Bulk emit attempts per critical round (0 = solo baseline).
-    pub bulk_burst: usize,
-    /// Critical one-way p50, nanoseconds.
-    pub p50_ns: u64,
-    /// Critical one-way p99, nanoseconds.
-    pub p99_ns: u64,
-    /// Critical one-way p99.9, nanoseconds.
-    pub p999_ns: u64,
-    /// The solo baseline's p99.9, nanoseconds (ratio denominator).
-    pub solo_p999_ns: u64,
-    /// Per-message latency budget, nanoseconds.
-    pub budget_ns: u64,
-    /// Delivered messages that exceeded the budget (must be 0).
-    pub budget_violations: u64,
-    /// This load point's p99.9 over the solo p99.9, fixed-point
-    /// thousandths.
-    pub ratio_x1000: u64,
-    /// Maximum permitted ratio in thousandths.
-    pub bound_x1000: u64,
-    /// Frames the time-aware gates held back (guard band or window
-    /// close) during this load point, summed over traffic classes.
-    pub gate_deferrals: u64,
-    /// Critical rounds lost to the fault injector (deadline expired).
-    pub lost: u64,
-    /// Typed refusals the bulk tenant received.
-    pub bulk_rejections: u64,
-    /// Frames the seeded fault injector dropped.
-    pub injected_drops: u64,
-    /// Frames the seeded fault injector reordered.
-    pub reorders: u64,
-}
-
-impl IsolationEntry {
-    fn to_value(&self) -> Value {
-        Value::object([
-            ("system", self.system.as_str().into()),
-            ("testbed", self.testbed.as_str().into()),
-            ("samples", (self.samples as u64).into()),
-            ("bulk_burst", (self.bulk_burst as u64).into()),
-            ("p50_ns", self.p50_ns.into()),
-            ("p99_ns", self.p99_ns.into()),
-            ("p999_ns", self.p999_ns.into()),
-            ("solo_p999_ns", self.solo_p999_ns.into()),
-            ("budget_ns", self.budget_ns.into()),
-            ("budget_violations", self.budget_violations.into()),
-            ("ratio_x1000", self.ratio_x1000.into()),
-            ("bound_x1000", self.bound_x1000.into()),
-            ("gate_deferrals", self.gate_deferrals.into()),
-            ("lost", self.lost.into()),
-            ("bulk_rejections", self.bulk_rejections.into()),
-            ("injected_drops", self.injected_drops.into()),
-            ("reorders", self.reorders.into()),
-        ])
-    }
-}
-
-/// One hot-path measurement: locked vs snapshot control-state reads,
-/// uncontended and under a live writer, plus the reload-under-load
-/// integrity counts (see `BENCH_hotpath.json` and DESIGN.md §12).
-#[derive(Debug, Clone)]
-pub struct HotpathEntry {
-    /// System label as printed in the tables.
-    pub system: String,
-    /// Testbed profile name.
-    pub testbed: String,
-    /// Reads per timed measurement.
-    pub samples: usize,
-    /// Mean uncontended `RwLock` read, thousandths of a nanosecond.
-    pub locked_read_ns_x1000: u64,
-    /// Mean uncontended snapshot refresh+read, thousandths of a ns.
-    pub snapshot_read_ns_x1000: u64,
-    /// snapshot/locked uncontended ratio, fixed-point thousandths.
-    pub uncontended_ratio_x1000: u64,
-    /// Maximum permitted uncontended ratio in thousandths.
-    pub uncontended_bound_x1000: u64,
-    /// p99 of a locked read while a writer republishes, nanoseconds.
-    pub locked_p99_ns: u64,
-    /// p99 of a snapshot read while a writer republishes, nanoseconds.
-    pub snapshot_p99_ns: u64,
-    /// snapshot/locked contended-p99 ratio, fixed-point thousandths.
-    pub contended_ratio_x1000: u64,
-    /// Maximum permitted contended ratio in thousandths.
-    pub contended_bound_x1000: u64,
-    /// Live tunables reloads performed while traffic flowed (≥ 1).
-    pub reloads: u64,
-    /// Messages lost across the reloads (must be 0).
-    pub dropped: u64,
-    /// Messages delivered out of order across the reloads (must be 0).
-    pub reordered: u64,
-}
-
-impl HotpathEntry {
-    fn to_value(&self) -> Value {
-        Value::object([
-            ("system", self.system.as_str().into()),
-            ("testbed", self.testbed.as_str().into()),
-            ("samples", (self.samples as u64).into()),
-            ("locked_read_ns_x1000", self.locked_read_ns_x1000.into()),
-            ("snapshot_read_ns_x1000", self.snapshot_read_ns_x1000.into()),
-            (
-                "uncontended_ratio_x1000",
-                self.uncontended_ratio_x1000.into(),
-            ),
-            (
-                "uncontended_bound_x1000",
-                self.uncontended_bound_x1000.into(),
-            ),
-            ("locked_p99_ns", self.locked_p99_ns.into()),
-            ("snapshot_p99_ns", self.snapshot_p99_ns.into()),
-            ("contended_ratio_x1000", self.contended_ratio_x1000.into()),
-            ("contended_bound_x1000", self.contended_bound_x1000.into()),
-            ("reloads", self.reloads.into()),
-            ("dropped", self.dropped.into()),
-            ("reordered", self.reordered.into()),
-        ])
-    }
-}
-
-/// One process-split measurement: in-process vs cross-process round
-/// trips plus the crash-reclaim outcome.
-#[derive(Debug, Clone)]
-pub struct IpcEntry {
-    /// System label as printed in the tables.
-    pub system: String,
-    /// Testbed profile name.
-    pub testbed: String,
-    /// Round trips timed per deployment.
-    pub messages: usize,
-    /// In-process round-trip p50, nanoseconds.
-    pub in_process_p50_ns: u64,
-    /// In-process round-trip p99, nanoseconds.
-    pub in_process_p99_ns: u64,
-    /// Cross-process round-trip p50, nanoseconds.
-    pub cross_process_p50_ns: u64,
-    /// Cross-process round-trip p99, nanoseconds.
-    pub cross_process_p99_ns: u64,
-    /// cross/in-process p99 ratio, fixed-point thousandths.
-    pub ratio_x1000: u64,
-    /// Maximum permitted ratio in thousandths.
-    pub bound_x1000: u64,
-    /// Attach slow path (connect → handshake → mmap), nanoseconds.
-    pub attach_ns: u64,
-    /// Death-to-reclaim latency after `kill -9`, nanoseconds.
-    pub reclaim_ns: u64,
-    /// Slots force-reclaimed from the crashed client (≥ 1).
-    pub reclaimed_slots: u64,
-    /// Slots still outstanding after the reclaim (must be 0).
-    pub leaked_slots: u64,
-}
-
-impl IpcEntry {
-    fn to_value(&self) -> Value {
-        Value::object([
-            ("system", self.system.as_str().into()),
-            ("testbed", self.testbed.as_str().into()),
-            ("messages", (self.messages as u64).into()),
-            ("in_process_p50_ns", self.in_process_p50_ns.into()),
-            ("in_process_p99_ns", self.in_process_p99_ns.into()),
-            ("cross_process_p50_ns", self.cross_process_p50_ns.into()),
-            ("cross_process_p99_ns", self.cross_process_p99_ns.into()),
-            ("ratio_x1000", self.ratio_x1000.into()),
-            ("bound_x1000", self.bound_x1000.into()),
-            ("attach_ns", self.attach_ns.into()),
-            ("reclaim_ns", self.reclaim_ns.into()),
-            ("reclaimed_slots", self.reclaimed_slots.into()),
-            ("leaked_slots", self.leaked_slots.into()),
-        ])
-    }
-}
-
-fn document(schema: &str, entries: Vec<Value>) -> Value {
+fn document(spec: &BenchSpec, rows: Vec<Value>) -> Value {
     Value::object([
-        ("schema", schema.into()),
+        ("schema", spec.schema.into()),
         ("factor", crate::bench_factor().into()),
-        ("entries", Value::Array(entries)),
+        ("entries", Value::Array(rows)),
     ])
 }
 
-fn write_doc(name: &str, doc: &Value) -> Result<PathBuf, BenchError> {
+/// Writes `rows` as the BENCH document `file`.
+///
+/// The document is validated first, so a violated gate (an isolation
+/// bound, a leaked slot, an empty series) fails the bench run itself
+/// instead of producing a file CI would reject later.
+///
+/// # Errors
+///
+/// Fails if `file` is not in the contract table, on any schema or gate
+/// violation, or on I/O errors.
+pub fn write(file: &str, rows: Vec<Value>) -> Result<(), BenchError> {
+    let spec = schema::spec(file)
+        .ok_or_else(|| BenchError::Other(format!("{file}: no BENCH contract")))?;
+    let doc = document(spec, rows);
+    schema::validate(spec, &doc).map_err(|e| BenchError::Other(format!("{file}: {e}")))?;
     let dir = experiments_dir();
     fs::create_dir_all(&dir)?;
-    let path = dir.join(name);
+    let path = dir.join(file);
     fs::write(&path, format!("{doc}\n"))?;
     println!("[bench] {}", path.display());
-    Ok(path)
+    Ok(())
 }
 
-/// Writes `BENCH_latency.json` and returns its path.
-///
-/// The document is validated against [`BENCH_LATENCY_SCHEMA`] before it
-/// is written, so an export bug fails the run instead of producing a
-/// file CI would reject later.
+/// The `export` suite: measures a representative latency/throughput
+/// subset and writes `BENCH_latency.json` / `BENCH_throughput.json`.
 ///
 /// # Errors
 ///
-/// Fails on schema violations (e.g. an empty series) or I/O errors.
-pub fn write_latency(entries: &[LatencyEntry]) -> Result<PathBuf, BenchError> {
-    let doc = document(
-        BENCH_LATENCY_SCHEMA,
-        entries.iter().map(LatencyEntry::to_value).collect(),
-    );
-    validate_bench_latency(&doc).map_err(|e| BenchError::Other(format!("latency export: {e}")))?;
-    write_doc("BENCH_latency.json", &doc)
-}
+/// Propagates measurement and export failures.
+pub fn suite(profile: &TestbedProfile) -> Result<(), BenchError> {
+    let n = iters(300);
+    let warmup = iters(30);
+    let mut rows = Vec::new();
+    for system in [
+        System::UdpNonBlocking,
+        System::InsaneSlow,
+        System::InsaneFast,
+        System::RawDpdk,
+    ] {
+        for payload in [64usize, 1024] {
+            let series = rtt_series(system, profile, payload, n, warmup)?;
+            rows.push(latency::row(system.label(), profile.name, payload, &series));
+        }
+    }
+    write("BENCH_latency.json", rows)?;
 
-/// Writes `BENCH_throughput.json` and returns its path.
-///
-/// # Errors
-///
-/// Fails on schema violations (e.g. zero goodput) or I/O errors.
-pub fn write_throughput(entries: &[ThroughputEntry]) -> Result<PathBuf, BenchError> {
-    write_throughput_named("BENCH_throughput.json", entries)
-}
-
-/// Writes a throughput-schema document under an explicit file name, for
-/// experiments that export alongside the canonical `BENCH_throughput.json`
-/// (e.g. `BENCH_shard_throughput.json` from the shard scale-out bench).
-///
-/// # Errors
-///
-/// Fails on schema violations (e.g. zero goodput) or I/O errors.
-pub fn write_throughput_named(
-    name: &str,
-    entries: &[ThroughputEntry],
-) -> Result<PathBuf, BenchError> {
-    let doc = document(
-        BENCH_THROUGHPUT_SCHEMA,
-        entries.iter().map(ThroughputEntry::to_value).collect(),
-    );
-    validate_bench_throughput(&doc)
-        .map_err(|e| BenchError::Other(format!("{name} export: {e}")))?;
-    write_doc(name, &doc)
-}
-
-/// Writes `BENCH_noisy_neighbor.json` and returns its path.
-///
-/// Validated against [`BENCH_NOISY_NEIGHBOR_SCHEMA`] before writing, so
-/// a violated isolation bound (or a missing rejection count) fails the
-/// bench run itself, not just a later `check-bench`.
-///
-/// # Errors
-///
-/// Fails on schema violations — including `isolation_ratio_x1000 >
-/// bound_x1000` — or I/O errors.
-pub fn write_noisy_neighbor(entries: &[NoisyNeighborEntry]) -> Result<PathBuf, BenchError> {
-    let doc = document(
-        BENCH_NOISY_NEIGHBOR_SCHEMA,
-        entries.iter().map(NoisyNeighborEntry::to_value).collect(),
-    );
-    validate_bench_noisy_neighbor(&doc)
-        .map_err(|e| BenchError::Other(format!("noisy-neighbor export: {e}")))?;
-    write_doc("BENCH_noisy_neighbor.json", &doc)
-}
-
-/// Writes `BENCH_isolation.json` and returns its path.
-///
-/// Validated against [`BENCH_ISOLATION_SCHEMA`] before writing, so a
-/// missed latency budget, a violated p99.9 bound, a missing solo
-/// baseline, or a run in which the gates never deferred a frame fails
-/// the bench run itself, not just a later `check-bench`.
-///
-/// # Errors
-///
-/// Fails on schema violations or I/O errors.
-pub fn write_isolation(entries: &[IsolationEntry]) -> Result<PathBuf, BenchError> {
-    let doc = document(
-        BENCH_ISOLATION_SCHEMA,
-        entries.iter().map(IsolationEntry::to_value).collect(),
-    );
-    validate_bench_isolation(&doc)
-        .map_err(|e| BenchError::Other(format!("isolation export: {e}")))?;
-    write_doc("BENCH_isolation.json", &doc)
-}
-
-/// Writes `BENCH_hotpath.json` and returns its path.
-///
-/// Validated against [`BENCH_HOTPATH_SCHEMA`] before writing, so a
-/// regression (snapshot slower than the lock it replaced, or a message
-/// lost across a live reload) fails the bench run itself, not just a
-/// later `check-bench`.
-///
-/// # Errors
-///
-/// Fails on schema violations — including a violated uncontended or
-/// contended ratio bound — or I/O errors.
-pub fn write_hotpath(entries: &[HotpathEntry]) -> Result<PathBuf, BenchError> {
-    let doc = document(
-        BENCH_HOTPATH_SCHEMA,
-        entries.iter().map(HotpathEntry::to_value).collect(),
-    );
-    validate_bench_hotpath(&doc).map_err(|e| BenchError::Other(format!("hotpath export: {e}")))?;
-    write_doc("BENCH_hotpath.json", &doc)
-}
-
-/// Writes `BENCH_ipc.json` and returns its path.
-///
-/// Validated against [`BENCH_IPC_SCHEMA`] before writing; a gate
-/// violation (overhead past the bound, leaked slots, missing reclaim)
-/// fails the run here rather than in CI.
-///
-/// # Errors
-///
-/// Fails on schema violations or I/O errors.
-pub fn write_ipc(entries: &[IpcEntry]) -> Result<PathBuf, BenchError> {
-    let doc = document(
-        BENCH_IPC_SCHEMA,
-        entries.iter().map(IpcEntry::to_value).collect(),
-    );
-    validate_bench_ipc(&doc).map_err(|e| BenchError::Other(format!("ipc export: {e}")))?;
-    write_doc("BENCH_ipc.json", &doc)
+    let msgs = iters(6_000);
+    let mut rows = Vec::new();
+    for system in [
+        TputSystem::KernelUdp,
+        TputSystem::InsaneSlow,
+        TputSystem::InsaneFast,
+        TputSystem::RawDpdk,
+    ] {
+        for payload in [1024usize, 8192] {
+            let gbps = goodput_gbps(system, profile, payload, msgs)?;
+            rows.push(throughput::row(
+                system.label(),
+                profile.name,
+                payload,
+                msgs,
+                gbps,
+            ));
+        }
+    }
+    write("BENCH_throughput.json", rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::Series;
+
+    fn latency_doc(series: &Series) -> (&'static BenchSpec, Value) {
+        let spec = schema::spec("BENCH_latency.json").unwrap();
+        let row = latency::row("test", "Local", 64, series);
+        (spec, document(spec, vec![row]))
+    }
 
     #[test]
-    fn latency_entry_serializes_the_full_quantile_ladder() {
-        let entry = LatencyEntry {
-            system: "test".into(),
-            testbed: "Local".into(),
-            payload_bytes: 64,
-            series: Series::from_samples((1..=1000).collect()),
-        };
-        let doc = document(BENCH_LATENCY_SCHEMA, vec![entry.to_value()]);
-        insane_telemetry::validate_bench_latency(&doc).unwrap();
-        let text = doc.to_string();
-        let back = Value::parse(&text).unwrap();
-        insane_telemetry::validate_bench_latency(&back).unwrap();
+    fn latency_row_serializes_the_full_quantile_ladder() {
+        let (spec, doc) = latency_doc(&Series::from_samples((1..=1000).collect()));
+        schema::validate(spec, &doc).unwrap();
+        let back = Value::parse(&doc.to_string()).unwrap();
+        schema::validate(spec, &back).unwrap();
         let e = &back.get("entries").unwrap().as_array().unwrap()[0];
         assert_eq!(e.get("samples").unwrap().as_u64(), Some(1000));
         // Nearest-rank p99.9 over 1..=1000: rank 998 → sample 999.
@@ -470,29 +120,24 @@ mod tests {
 
     #[test]
     fn empty_series_fails_validation_instead_of_exporting() {
-        let entry = LatencyEntry {
-            system: "test".into(),
-            testbed: "Local".into(),
-            payload_bytes: 64,
-            series: Series::new(),
-        };
-        let doc = document(BENCH_LATENCY_SCHEMA, vec![entry.to_value()]);
-        assert!(insane_telemetry::validate_bench_latency(&doc).is_err());
+        let (spec, doc) = latency_doc(&Series::new());
+        assert!(schema::validate(spec, &doc).is_err());
     }
 
     #[test]
     fn throughput_round_trips_through_the_parser() {
-        let entry = ThroughputEntry {
-            system: "INSANE fast".into(),
-            testbed: "Local".into(),
-            payload_bytes: 1024,
-            messages: 6000,
-            goodput_gbps: 12.25,
-        };
-        let doc = document(BENCH_THROUGHPUT_SCHEMA, vec![entry.to_value()]);
-        insane_telemetry::validate_bench_throughput(&doc).unwrap();
+        let spec = schema::spec("BENCH_throughput.json").unwrap();
+        let row = throughput::row("INSANE fast", "Local", 1024, 6000, 12.25);
+        let doc = document(spec, vec![row]);
+        schema::validate(spec, &doc).unwrap();
         let back = Value::parse(&doc.to_string()).unwrap();
+        schema::validate(spec, &back).unwrap();
         let e = &back.get("entries").unwrap().as_array().unwrap()[0];
         assert_eq!(e.get("goodput_gbps").unwrap().as_f64(), Some(12.25));
+    }
+
+    #[test]
+    fn a_file_outside_the_contract_is_refused() {
+        assert!(write("BENCH_unheard_of.json", Vec::new()).is_err());
     }
 }

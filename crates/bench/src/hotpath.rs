@@ -19,7 +19,7 @@
 //!   message must arrive, in order.  Hot reconfiguration must be
 //!   invisible to the datapath.
 //!
-//! Exported as the schema-validated `BENCH_hotpath.json`; the validator
+//! Exported as the schema-validated `BENCH_hotpath.json`; the contract
 //! re-checks all three gates on every consumer (`insanectl
 //! check-bench`, CI).
 
@@ -30,10 +30,11 @@ use std::time::Instant;
 
 use insane_core::{ConsumeMode, InsaneError, QosPolicy, SnapshotCell, Technology, Tunables};
 use insane_fabric::TestbedProfile;
+use insane_telemetry::Value;
 
 use crate::setup::InsanePair;
 use crate::stats::Series;
-use crate::BenchError;
+use crate::{iters, BenchError};
 
 /// Sequenced-payload size of the reload-under-load phase (one u64).
 pub const SEQ_PAYLOAD: usize = 8;
@@ -104,6 +105,29 @@ impl HotpathReport {
             .saturating_mul(1_000)
             .checked_div(self.locked_contended.p99())
             .unwrap_or(u64::MAX)
+    }
+
+    /// The `BENCH_hotpath.json` entry of this run.
+    pub fn row(&self, testbed: &str) -> Value {
+        Value::object([
+            ("system", "INSANE hot path".into()),
+            ("testbed", testbed.into()),
+            ("samples", (self.samples as u64).into()),
+            ("locked_read_ns_x1000", self.locked_read_ns_x1000.into()),
+            ("snapshot_read_ns_x1000", self.snapshot_read_ns_x1000.into()),
+            (
+                "uncontended_ratio_x1000",
+                self.uncontended_ratio_x1000().into(),
+            ),
+            ("uncontended_bound_x1000", UNCONTENDED_BOUND_X1000.into()),
+            ("locked_p99_ns", self.locked_contended.p99().into()),
+            ("snapshot_p99_ns", self.snapshot_contended.p99().into()),
+            ("contended_ratio_x1000", self.contended_ratio_x1000().into()),
+            ("contended_bound_x1000", CONTENDED_BOUND_X1000.into()),
+            ("reloads", self.reloads.into()),
+            ("dropped", self.dropped.into()),
+            ("reordered", self.reordered.into()),
+        ])
     }
 }
 
@@ -344,4 +368,39 @@ pub fn run(
         dropped,
         reordered,
     })
+}
+
+/// The `hotpath` suite: runs the three phases, prints the verdict and
+/// exports `BENCH_hotpath.json`, whose contract fails the run unless
+/// the snapshot design is no slower uncontended, no worse at the
+/// contended tail, and the reloads were loss- and reorder-free.
+///
+/// # Errors
+///
+/// As [`run`], plus any violated export gate.
+pub fn suite(profile: &TestbedProfile) -> Result<(), BenchError> {
+    let samples = iters(100_000);
+    let messages = iters(2_000) as u64;
+
+    println!("hot path: {samples} reads/phase, {messages} sequenced messages across live reloads");
+    let report = run(profile, samples, messages)?;
+    println!(
+        "uncontended read: locked {:.1}ns, snapshot {:.1}ns -> ratio {:.3}x (bound {:.3}x)",
+        report.locked_read_ns_x1000 as f64 / 1e3,
+        report.snapshot_read_ns_x1000 as f64 / 1e3,
+        report.uncontended_ratio_x1000() as f64 / 1e3,
+        UNCONTENDED_BOUND_X1000 as f64 / 1e3,
+    );
+    println!(
+        "contended p99: locked {:.2}us, snapshot {:.2}us -> ratio {:.3}x (bound {:.3}x)",
+        report.locked_contended.p99() as f64 / 1e3,
+        report.snapshot_contended.p99() as f64 / 1e3,
+        report.contended_ratio_x1000() as f64 / 1e3,
+        CONTENDED_BOUND_X1000 as f64 / 1e3,
+    );
+    println!(
+        "reload under load: {} reloads across {} messages, {} dropped, {} reordered",
+        report.reloads, report.sent, report.dropped, report.reordered
+    );
+    crate::export::write("BENCH_hotpath.json", vec![report.row(profile.name)])
 }

@@ -9,25 +9,30 @@
 //!   inside one process.  Round-trip latency here is the floor the
 //!   process split is judged against.
 //! * **cross-process** — a real daemon in another OS process (the bench
-//!   binary re-execs itself in `--serve` mode), a real `attach` over the
-//!   Unix control socket, the same ping-pong through the `mmap`ed
-//!   segment.  The schema gate: cross-process p99 ≤
+//!   binary re-execs itself as `ipc --serve <socket>`), a real `attach`
+//!   over the Unix control socket, the same ping-pong through the
+//!   `mmap`ed segment.  The schema gate: cross-process p99 ≤
 //!   [`BOUND_X1000`]/1000 × the in-process p99.
-//! * **crash reclaim** — a `--crash` child attaches, checks slots out,
-//!   and aborts without cleanup; the daemon must force-reclaim every
-//!   one (`leaked_slots == 0`) and report how long death-to-reclaim
-//!   took.
+//! * **crash reclaim** — an `ipc --crash <socket>` child attaches,
+//!   checks slots out, and aborts without cleanup; the daemon must
+//!   force-reclaim every one (`leaked_slots == 0`) and report how long
+//!   death-to-reclaim took.
 //!
 //! The forwarder and both clients yield rather than spin: CI runners
 //! may be single-core, and every phase here is scheduler-bound anyway.
 
+use std::io::{BufRead, BufReader, Write};
+use std::path::Path;
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use insane_fabric::TestbedProfile;
 use insane_ipc::loopback::InProcessLoop;
-use insane_ipc::{IpcClient, IpcError, ServerStatsSnapshot};
+use insane_ipc::{IpcClient, IpcError, IpcServer, ServerConfig, ServerStatsSnapshot};
+use insane_telemetry::Value;
 
 use crate::stats::Series;
-use crate::BenchError;
+use crate::{iters, BenchError};
 
 /// Overhead gate in thousandths: cross-process round-trip p99 may cost
 /// at most 2.000x the in-process baseline p99 (ISSUE acceptance bound).
@@ -70,6 +75,25 @@ impl IpcReport {
     pub fn ratio_x1000(&self) -> u64 {
         let baseline = self.in_process.p99().max(1);
         self.cross_process.p99().saturating_mul(1000) / baseline
+    }
+
+    /// The `BENCH_ipc.json` entry of this run.
+    pub fn row(&self, testbed: &str) -> Value {
+        Value::object([
+            ("system", "INSANE process split".into()),
+            ("testbed", testbed.into()),
+            ("messages", (self.messages as u64).into()),
+            ("in_process_p50_ns", self.in_process.median().into()),
+            ("in_process_p99_ns", self.in_process.p99().into()),
+            ("cross_process_p50_ns", self.cross_process.median().into()),
+            ("cross_process_p99_ns", self.cross_process.p99().into()),
+            ("ratio_x1000", self.ratio_x1000().into()),
+            ("bound_x1000", BOUND_X1000.into()),
+            ("attach_ns", self.attach_ns.into()),
+            ("reclaim_ns", self.reclaim_ns.into()),
+            ("reclaimed_slots", self.reclaimed_slots.into()),
+            ("leaked_slots", self.leaked_slots.into()),
+        ])
     }
 }
 
@@ -208,4 +232,152 @@ pub fn run_crash_reclaim(
         stats.reclaimed_slots - before.reclaimed_slots,
         stats.leaked_slots,
     ))
+}
+
+/// Child role `ipc --serve <socket>`: the runtime daemon.  Prints the
+/// ready line the parent waits for, then serves until a client requests
+/// shutdown.
+fn serve(socket: &Path) -> Result<(), BenchError> {
+    let server = IpcServer::start(ServerConfig::new(socket)).map_err(|e| ipc_err("serve", e))?;
+    println!("insaned listening on {}", server.socket_path().display());
+    std::io::stdout().flush()?;
+    while !server.shutdown_requested() {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    server.shutdown();
+    Ok(())
+}
+
+/// Child role `ipc --crash <socket>`: the crash victim.  Mirrors
+/// `insane-ipc-crasher --abort`: checks [`CRASH_SLOTS`] slots out (half
+/// in flight, half held) and dies without running a destructor.
+fn crash(socket: &Path) -> Result<(), BenchError> {
+    let mut client =
+        IpcClient::attach(socket, "victim", "fast").map_err(|e| ipc_err("crash attach", e))?;
+    let stream = client
+        .create_stream("doomed")
+        .map_err(|e| ipc_err("crash stream", e))?;
+    let mut held = Vec::new();
+    for i in 0..CRASH_SLOTS {
+        let mut guard = client.lend(8).map_err(|e| ipc_err("crash lend", e))?;
+        guard.copy_from_slice(&(i as u64).to_le_bytes());
+        if i % 2 == 0 {
+            if let Err(guard) = client.emit(stream, guard) {
+                held.push(guard);
+            }
+        } else {
+            held.push(guard);
+        }
+    }
+    println!("victim ready");
+    std::io::stdout().flush()?;
+    std::process::abort();
+}
+
+/// Spawns this binary's `ipc` suite in a child role and waits for its
+/// ready line.
+fn respawn(role: &str, socket: &Path, ready: &str) -> Result<Child, BenchError> {
+    let mut child = Command::new(std::env::current_exe()?)
+        .args(["ipc", role])
+        .arg(socket)
+        .stdout(Stdio::piped())
+        .spawn()?;
+    let stdout = child
+        .stdout
+        .take()
+        .ok_or_else(|| BenchError::Other("helper stdout missing".into()))?;
+    let mut line = String::new();
+    BufReader::new(stdout).read_line(&mut line)?;
+    if !line.starts_with(ready) {
+        let _ = child.kill();
+        return Err(BenchError::Other(format!(
+            "helper {role} said {line:?}, expected {ready:?}"
+        )));
+    }
+    Ok(child)
+}
+
+/// The `ipc` suite.  With no arguments it orchestrates all three phases
+/// — re-executing this binary for the daemon (`ipc --serve <socket>`)
+/// and the crash victim (`ipc --crash <socket>`), so one artifact is the
+/// whole experiment — and exports `BENCH_ipc.json`, whose contract fails
+/// the run on overhead past the bound, a reclaim that did not run, or a
+/// leaked slot.
+///
+/// # Errors
+///
+/// Any failing phase, unknown arguments, or a violated export gate.
+pub fn suite(profile: &TestbedProfile, args: &[String]) -> Result<(), BenchError> {
+    match args {
+        [] => {}
+        [role, socket] if role == "--serve" => return serve(Path::new(socket)),
+        [role, socket] if role == "--crash" => return crash(Path::new(socket)),
+        other => {
+            return Err(BenchError::Other(format!(
+                "usage: ipc [--serve <socket> | --crash <socket>], got {other:?}"
+            )))
+        }
+    }
+    let messages = iters(5_000);
+    let socket = std::env::temp_dir().join(format!("insane-ipc-bench-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&socket);
+
+    println!("process split: {messages} round trips per deployment");
+
+    // Phase 1: in-process baseline.
+    let in_process = run_in_process(messages)?;
+    println!(
+        "in-process round trip: p50 {:.1}us, p99 {:.1}us",
+        in_process.median() as f64 / 1e3,
+        in_process.p99() as f64 / 1e3,
+    );
+
+    // Phase 2: the same ping-pong across a real process boundary.
+    let mut daemon = respawn("--serve", &socket, "insaned listening on")?;
+    let (cross_process, attach_ns) = run_cross_process(&socket, messages)?;
+    println!(
+        "cross-process round trip: p50 {:.1}us, p99 {:.1}us (attach {:.1}us)",
+        cross_process.median() as f64 / 1e3,
+        cross_process.p99() as f64 / 1e3,
+        attach_ns as f64 / 1e3,
+    );
+
+    // Phase 3: kill a client, watch the daemon clean up.
+    let (reclaim_ns, reclaimed_slots, leaked_slots) = run_crash_reclaim(&socket, &mut || {
+        respawn("--crash", &socket, "victim ready")?.wait()?;
+        Ok(())
+    })?;
+    println!(
+        "crash reclaim: {reclaimed_slots} slots back in {:.1}us, {leaked_slots} leaked",
+        reclaim_ns as f64 / 1e3,
+    );
+
+    // Shut the daemon down before judging, so a gate failure never
+    // leaves an orphan process behind.
+    let mut closer =
+        IpcClient::attach(&socket, "closer", "fast").map_err(|e| ipc_err("closer", e))?;
+    closer
+        .request_shutdown()
+        .map_err(|e| ipc_err("shutdown", e))?;
+    closer.detach().map_err(|e| ipc_err("detach", e))?;
+    let status = daemon.wait()?;
+    if !status.success() {
+        return Err(BenchError::Other(format!("daemon exited with {status:?}")));
+    }
+
+    let report = IpcReport {
+        messages,
+        in_process,
+        cross_process,
+        attach_ns,
+        reclaim_ns,
+        reclaimed_slots,
+        leaked_slots,
+    };
+    println!(
+        "process-split overhead: {:.3}x at p99 (bound {:.3}x)",
+        report.ratio_x1000() as f64 / 1e3,
+        BOUND_X1000 as f64 / 1e3,
+    );
+    crate::export::write("BENCH_ipc.json", vec![report.row(profile.name)])
 }

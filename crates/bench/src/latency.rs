@@ -11,6 +11,7 @@ use insane_core::{ConsumeMode, InsaneError, QosPolicy, Technology};
 use insane_demikernel::{Backend, DemiEvent, Demikernel};
 use insane_fabric::devices::{DpdkPort, RecvMode, SimUdpSocket};
 use insane_fabric::{Endpoint, Fabric, FabricError, TestbedProfile};
+use insane_telemetry::Value;
 
 use crate::setup::InsanePair;
 use crate::stats::Series;
@@ -54,6 +55,24 @@ impl System {
             System::InsaneRdma => "INSANE rdma",
         }
     }
+}
+
+/// One `BENCH_latency.json` entry: a system × testbed × payload RTT
+/// series, nanoseconds.
+pub fn row(system: &str, testbed: &str, payload: usize, series: &Series) -> Value {
+    Value::object([
+        ("system", system.into()),
+        ("testbed", testbed.into()),
+        ("payload_bytes", (payload as u64).into()),
+        ("samples", (series.len() as u64).into()),
+        ("p50_ns", series.median().into()),
+        ("p90_ns", series.p90().into()),
+        ("p99_ns", series.p99().into()),
+        ("p999_ns", series.p999().into()),
+        ("mean_ns", series.mean().into()),
+        ("min_ns", series.min().into()),
+        ("max_ns", series.max().into()),
+    ])
 }
 
 /// Measures an RTT series of `iters` samples (after `warmup` discarded

@@ -1,10 +1,12 @@
 //! Experiment harness for the INSANE reproduction.
 //!
-//! Every table and figure of the paper's evaluation (§6–7) has a bench
-//! target in this crate (see `benches/`); each prints the same rows or
-//! series the paper reports and writes a CSV under `target/experiments/`.
-//! The heavy lifting lives here so the targets stay thin and the
-//! `all_experiments` binary can run the full suite.
+//! Every table and figure of the paper's evaluation (§6–7), and every
+//! experiment that writes a `BENCH_*.json` record, is a suite of the one
+//! `insane-bench <suite> [args]` binary (`main.rs`); each prints the
+//! same rows or series the paper reports and writes a CSV or a
+//! contract-checked BENCH document under `target/experiments/`.  The
+//! experiments live in this library, one module each, next to the
+//! function that builds their record.
 //!
 //! ## Measurement methodology (single-core host)
 //!

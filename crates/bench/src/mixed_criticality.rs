@@ -18,7 +18,7 @@
 //! to take frames.
 //!
 //! Exported as the schema-validated `BENCH_isolation.json`; the
-//! validator re-checks the budget, the tail bound, and that the gates
+//! contract re-checks the budget, the tail bound, and that the gates
 //! actually deferred frames on every consumer (`insanectl
 //! check-bench`, CI).
 
@@ -30,11 +30,11 @@ use insane_core::{
     TenantRate, TenantSpec, TimeSensitivity, Tunables,
 };
 use insane_fabric::{FaultPlan, FaultStats, TestbedProfile};
+use insane_telemetry::Value;
 
-use crate::export::IsolationEntry;
 use crate::setup::InsanePair;
 use crate::stats::Series;
-use crate::BenchError;
+use crate::{iters, BenchError};
 
 /// The time-critical tenant under measurement.
 pub const CRITICAL: TenantId = 1;
@@ -96,6 +96,14 @@ pub struct LoadPoint {
     pub faults: FaultStats,
 }
 
+impl LoadPoint {
+    /// This load point's p99.9 over the solo baseline's, fixed-point
+    /// thousandths.
+    fn ratio_x1000(&self, solo_p999_ns: u64) -> u64 {
+        self.series.p999().saturating_mul(1_000) / solo_p999_ns.max(1)
+    }
+}
+
 /// Outcome of one mixed-criticality run: the solo baseline first, then
 /// each requested bulk load point.
 #[derive(Debug, Clone)]
@@ -117,29 +125,32 @@ impl MixedCriticalityReport {
             .max(CYCLE.as_nanos() as u64)
     }
 
-    /// Converts the report into `BENCH_isolation.json` entries.
-    pub fn to_entries(&self, system: &str, testbed: &str) -> Vec<IsolationEntry> {
+    /// The `BENCH_isolation.json` entries of this run, one per load
+    /// point.
+    pub fn rows(&self, testbed: &str) -> Vec<Value> {
         let solo = self.solo_p999_ns();
         self.points
             .iter()
-            .map(|p| IsolationEntry {
-                system: system.to_string(),
-                testbed: testbed.to_string(),
-                samples: p.series.len(),
-                bulk_burst: p.bulk_burst,
-                p50_ns: p.series.median(),
-                p99_ns: p.series.p99(),
-                p999_ns: p.series.p999(),
-                solo_p999_ns: solo,
-                budget_ns: BUDGET.as_nanos() as u64,
-                budget_violations: p.budget_violations,
-                ratio_x1000: p.series.p999().saturating_mul(1_000) / solo.max(1),
-                bound_x1000: TAIL_BOUND_X1000,
-                gate_deferrals: p.gate_deferrals,
-                lost: p.lost,
-                bulk_rejections: p.bulk_rejections,
-                injected_drops: p.faults.injected_drops,
-                reorders: p.faults.reorders,
+            .map(|p| {
+                Value::object([
+                    ("system", "INSANE tas".into()),
+                    ("testbed", testbed.into()),
+                    ("samples", (p.series.len() as u64).into()),
+                    ("bulk_burst", (p.bulk_burst as u64).into()),
+                    ("p50_ns", p.series.median().into()),
+                    ("p99_ns", p.series.p99().into()),
+                    ("p999_ns", p.series.p999().into()),
+                    ("solo_p999_ns", solo.into()),
+                    ("budget_ns", (BUDGET.as_nanos() as u64).into()),
+                    ("budget_violations", p.budget_violations.into()),
+                    ("ratio_x1000", p.ratio_x1000(solo).into()),
+                    ("bound_x1000", TAIL_BOUND_X1000.into()),
+                    ("gate_deferrals", p.gate_deferrals.into()),
+                    ("lost", p.lost.into()),
+                    ("bulk_rejections", p.bulk_rejections.into()),
+                    ("injected_drops", p.faults.injected_drops.into()),
+                    ("reorders", p.faults.reorders.into()),
+                ])
             })
             .collect()
     }
@@ -419,4 +430,60 @@ pub fn run(
         points.push(run_load_point(profile, rounds, warmup, burst)?);
     }
     Ok(MixedCriticalityReport { points })
+}
+
+/// The `isolation` suite: measures the solo baseline and the bulk load
+/// points named in `args` (emits per critical round, default `8 32`)
+/// with the seeded fault injector live, prints each, and exports
+/// `BENCH_isolation.json`, whose contract fails the run unless every
+/// delivered critical message landed inside its latency budget and the
+/// contended p99.9 stayed within the 2x tail bound.
+///
+/// # Errors
+///
+/// As [`run`], plus a malformed load point or any violated export gate.
+pub fn suite(profile: &TestbedProfile, args: &[String]) -> Result<(), BenchError> {
+    let bursts = if args.is_empty() {
+        vec![8, 32]
+    } else {
+        args.iter()
+            .map(|a| {
+                a.parse::<usize>()
+                    .map_err(|_| BenchError::Other(format!("invalid bulk load point {a:?}")))
+            })
+            .collect::<Result<_, _>>()?
+    };
+    let rounds = iters(300);
+    // Warmup also floods, so bulk backlog and the dry token bucket are
+    // already in place when measurement starts.
+    let warmup = 20;
+
+    println!(
+        "mixed criticality: {rounds} critical one-ways x {PAYLOAD} B over the \
+         time-aware shard, bulk load points {bursts:?}, budget {:.1}ms",
+        BUDGET.as_secs_f64() * 1e3,
+    );
+    let report = run(profile, rounds, warmup, &bursts)?;
+
+    let solo = report.solo_p999_ns();
+    for p in &report.points {
+        println!(
+            "bulk {:>3}/round: p50 {:.2}us p99 {:.2}us p99.9 {:.2}us \
+             (ratio {:.3}x of solo, bound {:.3}x) | {} over budget, {} lost, \
+             {} deferrals, {} bulk rejections, {} drops / {} reorders injected",
+            p.bulk_burst,
+            p.series.median() as f64 / 1e3,
+            p.series.p99() as f64 / 1e3,
+            p.series.p999() as f64 / 1e3,
+            p.ratio_x1000(solo) as f64 / 1e3,
+            TAIL_BOUND_X1000 as f64 / 1e3,
+            p.budget_violations,
+            p.lost,
+            p.gate_deferrals,
+            p.bulk_rejections,
+            p.faults.injected_drops,
+            p.faults.reorders,
+        );
+    }
+    crate::export::write("BENCH_isolation.json", report.rows(profile.name))
 }

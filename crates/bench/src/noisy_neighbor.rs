@@ -12,7 +12,7 @@
 //! exhaustion, or victim starvation).
 //!
 //! Exported as the schema-validated `BENCH_noisy_neighbor.json`; the
-//! validator re-checks the bound and the rejection counts on every
+//! contract re-checks the bound and the rejection counts on every
 //! consumer (`insanectl check-bench`, CI).
 
 use std::time::Instant;
@@ -22,10 +22,11 @@ use insane_core::{
     Source, Technology, TenantId, TenantQuota, TenantRate, TenantSpec,
 };
 use insane_fabric::TestbedProfile;
+use insane_telemetry::Value;
 
 use crate::setup::{InsanePair, PING_CHANNEL, PONG_CHANNEL};
 use crate::stats::Series;
-use crate::BenchError;
+use crate::{iters, BenchError};
 
 /// The well-behaved tenant under measurement.
 pub const VICTIM: TenantId = 1;
@@ -67,6 +68,22 @@ impl NoisyNeighborReport {
     pub fn isolation_ratio_x1000(&self) -> u64 {
         let solo = self.solo.p99().max(1);
         self.contended.p99().saturating_mul(1_000) / solo
+    }
+
+    /// The `BENCH_noisy_neighbor.json` entry of this run.
+    pub fn row(&self, testbed: &str) -> Value {
+        Value::object([
+            ("system", "INSANE multi-tenant".into()),
+            ("testbed", testbed.into()),
+            ("payload_bytes", (PAYLOAD as u64).into()),
+            ("samples", (self.contended.len() as u64).into()),
+            ("solo_p99_ns", self.solo.p99().into()),
+            ("contended_p99_ns", self.contended.p99().into()),
+            ("isolation_ratio_x1000", self.isolation_ratio_x1000().into()),
+            ("bound_x1000", ISOLATION_BOUND_X1000.into()),
+            ("bulk_rejections", self.bulk_rejections.into()),
+            ("victim_rejections", self.victim_rejections.into()),
+        ])
     }
 }
 
@@ -263,4 +280,37 @@ pub fn run(
         bulk_rejections,
         victim_rejections: 0,
     })
+}
+
+/// The `noisy-neighbor` suite: runs the experiment, prints the verdict
+/// and exports `BENCH_noisy_neighbor.json`, whose contract fails the
+/// run unless the contended p99 stays within the 2x isolation bound
+/// while the bulk tenant's overflow was refused with typed errors.
+///
+/// # Errors
+///
+/// As [`run`], plus any violated export gate.
+pub fn suite(profile: &TestbedProfile) -> Result<(), BenchError> {
+    let rounds = iters(200);
+    // Warmup also floods, so the bulk bucket is already dry when
+    // measurement starts — even at tiny bench factors.
+    let warmup = 30;
+
+    println!(
+        "noisy neighbor: {rounds} victim RTTs x {PAYLOAD} B over DPDK, \
+         bulk bursts of {BULK_BURST} per round"
+    );
+    let report = run(profile, rounds, warmup)?;
+    println!(
+        "victim p99: solo {:.2}us, contended {:.2}us -> ratio {:.3}x (bound {:.3}x)",
+        report.solo.p99() as f64 / 1e3,
+        report.contended.p99() as f64 / 1e3,
+        report.isolation_ratio_x1000() as f64 / 1e3,
+        ISOLATION_BOUND_X1000 as f64 / 1e3,
+    );
+    println!(
+        "bulk tenant: {} typed rejections; victim: {}",
+        report.bulk_rejections, report.victim_rejections
+    );
+    crate::export::write("BENCH_noisy_neighbor.json", vec![report.row(profile.name)])
 }

@@ -25,11 +25,10 @@ use std::time::Instant;
 use insane_core::{ChannelId, ConsumeMode, InsaneError, QosPolicy, Sink, Source, Technology};
 use insane_fabric::TestbedProfile;
 
-use crate::export::ThroughputEntry;
 use crate::setup::{throughput_config, throughput_profile, InsanePair};
 use crate::stats::gbps;
-use crate::throughput::wire_ns_per_msg;
-use crate::BenchError;
+use crate::throughput::{self, wire_ns_per_msg};
+use crate::{iters, BenchError};
 
 /// Producer streams in the workload (enough that FNV assignment spreads
 /// them over every shard count measured).
@@ -38,6 +37,9 @@ pub const STREAMS: usize = 8;
 /// Payload bytes per message: stream id + sequence number plus padding,
 /// the paper's small-message regime where per-message CPU dominates.
 pub const PAYLOAD: usize = 64;
+
+/// Required 2-shard speed-up over 1 shard in aggregate msgs/sec.
+const MIN_SPEEDUP: f64 = 1.3;
 
 /// One measured configuration.
 #[derive(Debug, Clone)]
@@ -72,15 +74,16 @@ impl ShardRun {
         gbps(PAYLOAD, self.delivered, self.bottleneck_ns())
     }
 
-    /// BENCH throughput-schema entry for this run.
-    pub fn entry(&self, testbed: &str) -> ThroughputEntry {
-        ThroughputEntry {
-            system: format!("INSANE fast x{} shards", self.shards),
-            testbed: testbed.to_owned(),
-            payload_bytes: PAYLOAD,
-            messages: self.delivered,
-            goodput_gbps: self.goodput_gbps(),
-        }
+    /// The `BENCH_shard_throughput.json` entry of this run.
+    pub fn row(&self, testbed: &str) -> insane_telemetry::Value {
+        let system = format!("INSANE fast x{} shards", self.shards);
+        throughput::row(
+            &system,
+            testbed,
+            PAYLOAD,
+            self.delivered,
+            self.goodput_gbps(),
+        )
     }
 }
 
@@ -165,26 +168,18 @@ fn consume_all(
 }
 
 /// Runs the multi-stream flood with `shards` shards per datapath until
-/// `target` messages are delivered and order-checked.
+/// `target` messages are delivered and order-checked, optionally
+/// scaling the slot pools with the shard count (`per_shard_pool`): each
+/// shard then works against the same pool capacity a 1-shard runtime
+/// has in total, so high shard counts are not throttled by pool
+/// contention instead of CPU — the regime the `--per-shard-pool` flag
+/// of the `shard` suite measures.
 ///
 /// # Errors
 ///
 /// Fails on middleware errors, per-stream reordering, or a stalled
 /// pipeline (delivery stops making progress).
-pub fn run(profile: &TestbedProfile, shards: usize, target: usize) -> Result<ShardRun, BenchError> {
-    run_with(profile, shards, target, false)
-}
-
-/// As [`run`], optionally scaling the slot pools with the shard count
-/// (`per_shard_pool`): each shard then works against the same pool
-/// capacity a 1-shard runtime has in total, so high shard counts are
-/// not throttled by pool contention instead of CPU — the regime the
-/// `--per-shard-pool` flag of the `shard_bench` binary measures.
-///
-/// # Errors
-///
-/// As [`run`].
-pub fn run_with(
+pub fn run(
     profile: &TestbedProfile,
     shards: usize,
     target: usize,
@@ -272,25 +267,115 @@ pub fn run_with(
     })
 }
 
+/// The `shard` suite: `shard [--per-shard-pool] [SHARDS...]` (default
+/// `1 2 4 8`) measures each shard count and exports
+/// `BENCH_shard_throughput.json`.  When both the 1- and 2-shard points
+/// are measured, the run fails unless 2 shards deliver at least
+/// [`MIN_SPEEDUP`] times the 1-shard aggregate message rate — the
+/// scale-out contract of the sharded polling engine, and the one gate
+/// that lives here instead of in the BENCH contract table: it compares
+/// two entries, which none of the table's rule kinds does.
+///
+/// # Errors
+///
+/// As [`run`], plus a malformed shard count, a violated export gate or
+/// a missed scale-out floor.
+pub fn suite(profile: &TestbedProfile, args: &[String]) -> Result<(), BenchError> {
+    let per_shard_pool = args.iter().any(|a| a == "--per-shard-pool");
+    let mut shard_counts = args
+        .iter()
+        .filter(|a| *a != "--per-shard-pool")
+        .map(|a| {
+            a.parse::<usize>()
+                .ok()
+                .filter(|s| (1..=64).contains(s))
+                .ok_or_else(|| BenchError::Other(format!("bad shard count {a:?} (want 1..=64)")))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    if shard_counts.is_empty() {
+        shard_counts = vec![1, 2, 4, 8];
+    }
+    let target = iters(6_000);
+
+    println!(
+        "shard scale-out: {STREAMS} streams x {PAYLOAD} B over DPDK, \
+         {target} messages per point{}",
+        if per_shard_pool {
+            " (pools scaled per shard)"
+        } else {
+            ""
+        }
+    );
+    println!(
+        "{:>6} {:>12} {:>14} {:>12}",
+        "shards", "msgs/sec", "goodput Gbps", "bottleneck"
+    );
+    let mut runs: Vec<ShardRun> = Vec::new();
+    for &shards in &shard_counts {
+        let run = run(profile, shards, target, per_shard_pool)?;
+        let tx = run.tx_shard_ns.iter().copied().max().unwrap_or(0);
+        let rx = run.rx_shard_ns.iter().copied().max().unwrap_or(0);
+        let side = if tx >= rx { "tx" } else { "rx" };
+        let bottleneck = run.bottleneck_ns() as f64;
+        let bottleneck = if bottleneck >= 1e6 {
+            format!("{:.1}ms", bottleneck / 1e6)
+        } else {
+            format!("{:.1}us", bottleneck / 1e3)
+        };
+        println!(
+            "{:>6} {:>12.0} {:>14.3} {bottleneck:>9} {side}",
+            run.shards,
+            run.msgs_per_sec(),
+            run.goodput_gbps(),
+        );
+        runs.push(run);
+    }
+    let rows = runs.iter().map(|r| r.row(profile.name)).collect();
+    crate::export::write("BENCH_shard_throughput.json", rows)?;
+
+    let rate = |shards: usize| {
+        runs.iter()
+            .find(|r| r.shards == shards)
+            .map(ShardRun::msgs_per_sec)
+    };
+    if let (Some(one), Some(two)) = (rate(1), rate(2)) {
+        let speedup = two / one.max(f64::MIN_POSITIVE);
+        println!("2-shard speed-up over 1 shard: {speedup:.2}x (required {MIN_SPEEDUP}x)");
+        if speedup < MIN_SPEEDUP {
+            return Err(BenchError::Other(format!(
+                "2 shards reached only {speedup:.2}x of the 1-shard rate \
+                 (required {MIN_SPEEDUP}x)"
+            )));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// The harness delivers, order-checks and produces a valid BENCH
     /// entry at a tiny message count (the full comparison runs in the
-    /// `shard_bench` binary).
+    /// `shard` suite).
     #[test]
     fn harness_delivers_and_order_checks() {
         let profile = TestbedProfile::local();
-        let run = run(&profile, 2, 256).unwrap();
+        let run = run(&profile, 2, 256, false).unwrap();
         assert_eq!(run.shards, 2);
         assert!(run.delivered >= 256);
         assert_eq!(run.tx_shard_ns.len(), 2);
         assert!(run.bottleneck_ns() > 0);
         assert!(run.msgs_per_sec() > 0.0);
-        let entry = run.entry(profile.name);
-        assert_eq!(entry.payload_bytes, PAYLOAD);
-        assert!(entry.goodput_gbps > 0.0);
+        let spec = insane_telemetry::schema::spec("BENCH_shard_throughput.json").unwrap();
+        let doc = insane_telemetry::Value::object([
+            ("schema", spec.schema.into()),
+            (
+                "entries",
+                insane_telemetry::Value::Array(vec![run.row(profile.name)]),
+            ),
+        ]);
+        insane_telemetry::schema::validate(spec, &doc).unwrap();
     }
 
     #[test]

@@ -22,6 +22,7 @@ use insane_core::{ConsumeMode, InsaneError, QosPolicy, Technology};
 use insane_demikernel::{Backend, DemiEvent, Demikernel};
 use insane_fabric::devices::{DpdkPort, RecvMode, SimUdpSocket};
 use insane_fabric::{Endpoint, Fabric, FabricError, TestbedProfile};
+use insane_telemetry::Value;
 
 use crate::setup::{throughput_config, throughput_profile, InsanePair};
 use crate::stats::gbps;
@@ -129,6 +130,51 @@ pub fn stages(
         rx_ns,
         wire_ns,
     })
+}
+
+/// One `BENCH_throughput.json` / `BENCH_shard_throughput.json` entry: a
+/// system × testbed × payload goodput in Gbit/s over `messages`
+/// messages.
+pub fn row(system: &str, testbed: &str, payload: usize, messages: usize, gbps: f64) -> Value {
+    Value::object([
+        ("system", system.into()),
+        ("testbed", testbed.into()),
+        ("payload_bytes", (payload as u64).into()),
+        ("messages", (messages as u64).into()),
+        ("goodput_gbps", gbps.into()),
+    ])
+}
+
+/// The `stages` suite, a developer probe: raw pipeline-stage timings
+/// per system and payload.
+///
+/// # Errors
+///
+/// Propagates failures from the system under measurement.
+pub fn suite(profile: &TestbedProfile) -> Result<(), BenchError> {
+    for payload in [64usize, 1024, 8192] {
+        for sys in [
+            TputSystem::RawDpdk,
+            TputSystem::InsaneFast,
+            TputSystem::KernelUdp,
+            TputSystem::InsaneSlow,
+            TputSystem::Catnip,
+            TputSystem::Catnap,
+        ] {
+            let s = stages(sys, profile, payload, 2000)?;
+            println!(
+                "{:12} {:5}B tx={:6}ns rx={:6}ns wire={:4}ns -> {:.2} Gbps",
+                sys.label(),
+                payload,
+                s.tx_ns,
+                s.rx_ns,
+                s.wire_ns,
+                s.goodput_gbps(payload)
+            );
+        }
+        println!();
+    }
+    Ok(())
 }
 
 /// Fig. 8a entry point: goodput of `system`.

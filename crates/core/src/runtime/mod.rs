@@ -211,8 +211,7 @@ pub struct RuntimeConfig {
     /// Control-plane retransmission and failure-detection parameters.
     pub control: ControlPlaneConfig,
     /// Observability: per-stream histograms, datapath counters, and the
-    /// introspection endpoint (no-op unless the `telemetry` cargo
-    /// feature is enabled).
+    /// introspection endpoint.
     pub telemetry: TelemetryConfig,
     /// Registered tenants: slot quotas, admission rates, and fair-share
     /// weights.  Empty (the default) keeps single-tenant operation: no
@@ -973,7 +972,6 @@ impl Runtime {
     /// same document the introspection endpoint serves: per-stream
     /// latency histograms, per-datapath counters, runtime counters,
     /// pool occupancy, and fault-injection statistics.
-    #[cfg(feature = "telemetry")]
     pub fn telemetry_json(&self) -> String {
         self.inner.introspection_json()
     }
@@ -987,7 +985,6 @@ impl Runtime {
     ///
     /// Fails when the socket cannot be bound or the thread cannot be
     /// spawned.
-    #[cfg(feature = "telemetry")]
     pub fn serve_introspection(
         &self,
         path: impl Into<std::path::PathBuf>,
@@ -1119,7 +1116,6 @@ impl RuntimeInner {
 
     /// Builds the introspection snapshot served over the endpoint and
     /// by [`Runtime::telemetry_json`].
-    #[cfg(feature = "telemetry")]
     pub(crate) fn introspection_json(&self) -> String {
         use insane_telemetry::Value;
         let reg = self.telemetry.snapshot();
@@ -1292,7 +1288,6 @@ impl RuntimeInner {
     /// argument is one `key=value` assignment against the current
     /// tunables snapshot; the batch publishes atomically or not at all.
     /// Returns a human-readable summary of the published snapshot.
-    #[cfg(feature = "telemetry")]
     // insane-lint: cold-path -- control-plane reload, not steady state
     pub(crate) fn reload_from_kv(&self, pairs: &str) -> Result<String, String> {
         let mut next = (*self.tunables.load()).clone();

@@ -197,7 +197,6 @@ pub struct StatsSnapshot {
     pub gate_deferrals: u64,
 }
 
-#[cfg(feature = "telemetry")]
 impl StatsSnapshot {
     /// JSON form, embedded in the introspection snapshot.
     pub(crate) fn to_json(self) -> insane_telemetry::Value {

@@ -1,11 +1,11 @@
 //! Runtime telemetry glue: configuration, recorder handles, and the
 //! introspection endpoint plumbing.
 //!
-//! Everything datapath-facing lives behind thin wrapper types with two
-//! implementations selected by the `telemetry` cargo feature: the real
-//! one forwards to `insane-telemetry` recorders, the stub compiles to
-//! nothing. Call sites in the runtime and client library are identical
-//! either way — no `cfg` outside this module.
+//! Everything datapath-facing lives behind thin wrapper types that
+//! forward to `insane-telemetry` recorders when recording is enabled
+//! ([`TelemetryConfig::enabled`]) and are inert otherwise: the switch
+//! is a run-time one, so call sites in the runtime and client library
+//! are identical either way.
 //!
 //! The span points instrumented across the stack:
 //!
@@ -27,10 +27,8 @@ use std::time::Duration;
 /// Runtime telemetry configuration (part of
 /// [`RuntimeConfig`](crate::RuntimeConfig)).
 ///
-/// With the `telemetry` cargo feature disabled this struct still
-/// exists (so configs are portable) but has no effect. With the
-/// feature enabled, `enabled: false` skips recorder creation entirely:
-/// the per-message cost is one `Option` check.
+/// `enabled: false` skips recorder creation entirely: the per-message
+/// cost is one `Option` check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Master switch for recorder creation.
@@ -78,7 +76,6 @@ impl TelemetryConfig {
     }
 }
 
-#[cfg(feature = "telemetry")]
 mod glue {
     use super::TelemetryConfig;
     use crate::stats::{LatencyBreakdown, MessageMeta};
@@ -215,71 +212,15 @@ mod glue {
     }
 }
 
-#[cfg(not(feature = "telemetry"))]
-mod glue {
-    //! No-op stand-ins compiled when the `telemetry` feature is off;
-    //! every method body is empty, so the datapath carries no
-    //! telemetry branches at all.
-
-    use super::TelemetryConfig;
-    use crate::stats::MessageMeta;
-    use insane_tsn::TrafficClass;
-
-    #[derive(Debug)]
-    pub(crate) struct RuntimeTelemetry;
-
-    impl RuntimeTelemetry {
-        pub(crate) fn new(_cfg: &TelemetryConfig) -> Self {
-            RuntimeTelemetry
-        }
-
-        pub(crate) fn datapath(&self, _name: &str, _shard: usize) -> DatapathTel {
-            DatapathTel
-        }
-
-        pub(crate) fn stream(
-            &self,
-            _channel: u32,
-            _class: TrafficClass,
-            _tenant: insane_memory::TenantId,
-        ) -> SinkTel {
-            SinkTel
-        }
-    }
-
-    #[derive(Debug)]
-    pub(crate) struct DatapathTel;
-
-    impl DatapathTel {
-        pub(crate) fn on_tx(&self, _n: u64) {}
-        pub(crate) fn on_rx(&self, _n: u64) {}
-        pub(crate) fn on_scheduled(&self, _n: u64) {}
-        pub(crate) fn on_gate_deferred(&self, _per_class: &[u64; 8]) {}
-    }
-
-    #[derive(Debug)]
-    pub(crate) struct SinkTel;
-
-    impl SinkTel {
-        #[allow(dead_code)]
-        pub(crate) fn none() -> Self {
-            SinkTel
-        }
-
-        pub(crate) fn observe(&self, _meta: &MessageMeta, _consumed_ns: u64) {}
-    }
-}
-
 pub(crate) use glue::{DatapathTel, RuntimeTelemetry, SinkTel};
 
-/// The Unix-domain-socket introspection server (feature-gated).
+/// The Unix-domain-socket introspection server.
 ///
 /// Protocol: one request line per connection; the server answers with
 /// one JSON line and closes. `stats` (or an empty line) returns the
 /// full runtime snapshot; `ping` returns a liveness probe;
 /// `reload key=value ...` hot-reloads runtime tunables (DESIGN.md
 /// §12); anything else gets a JSON error.
-#[cfg(feature = "telemetry")]
 pub(crate) mod introspection {
     use crate::runtime::RuntimeInner;
     use crate::InsaneError;
@@ -400,7 +341,6 @@ mod tests {
         assert!(!TelemetryConfig::disabled().enabled);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn disabled_config_creates_no_recorders() {
         let tel = RuntimeTelemetry::new(&TelemetryConfig::disabled());
@@ -426,7 +366,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn budget_applies_to_time_sensitive_streams_only() {
         let cfg = TelemetryConfig::default().with_latency_budget(Duration::from_nanos(100));

@@ -641,7 +641,6 @@ fn stats_track_message_flow() {
     assert!(rt_a.stats().control_messages > 0, "peering traffic counted");
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn telemetry_records_streams_datapaths_and_budget_violations() {
     use insane_core::TelemetryConfig;
@@ -741,7 +740,6 @@ fn telemetry_records_streams_datapaths_and_budget_violations() {
     );
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn introspection_endpoint_serves_stats_over_unix_socket() {
     use std::io::{BufRead, BufReader, Write};
@@ -865,7 +863,6 @@ fn traffic_flows_across_a_live_tunables_reload() {
     }
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn introspection_endpoint_reloads_tunables() {
     use std::io::{BufRead, BufReader, Write};

@@ -24,8 +24,10 @@ pub const SUB_BUCKETS: usize = 1 << SUB_BITS;
 /// sub-buckets per magnitude `SUB_BITS..=63`.
 pub const BUCKETS: usize = (65 - SUB_BITS as usize) * SUB_BUCKETS;
 
-/// Number of shards in a [`ShardedHistogram`].
+/// Number of shards in a [`ShardedHistogram`]; a power of two, so a
+/// thread's shard is a mask of its arrival number.
 pub const SHARDS: usize = 4;
+const _: () = assert!(SHARDS.is_power_of_two());
 
 /// Maps a value to its bucket index.
 fn bucket_index(v: u64) -> usize {
@@ -135,7 +137,7 @@ impl LogHistogram {
 fn shard_of_thread() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     std::thread_local! {
-        static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
+        static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed) & (SHARDS - 1);
     }
     SHARD.with(|s| *s)
 }

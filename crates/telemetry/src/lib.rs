@@ -16,8 +16,9 @@
 //!   per-datapath recorder bundles, snapshotted into plain data.
 //! * [`json`] — a dependency-free JSON writer/parser used by the
 //!   introspection endpoint, `insanectl`, and the BENCH exporters.
-//! * [`schema`] — validators for the BENCH export documents, shared by
-//!   the producer (`crates/bench`) and consumers (`insanectl`, CI).
+//! * [`schema`] — the contract of the BENCH export documents (one table,
+//!   one interpreter), shared by the producer (`crates/bench`) and the
+//!   consumers (`insanectl`, CI).
 //!
 //! Everything on the record path is a handful of relaxed atomic
 //! operations: no locks, no heap allocation, no syscalls. Locks exist
@@ -40,22 +41,6 @@ pub use registry::{
     BreakdownSample, DatapathSnapshot, DatapathTelemetry, Registry, RegistrySnapshot,
     StreamSnapshot, StreamTelemetry, TenantSnapshot, TenantTelemetry,
 };
-pub use schema::{
-    validate_bench_hotpath, validate_bench_ipc, validate_bench_isolation, validate_bench_latency,
-    validate_bench_noisy_neighbor, validate_bench_throughput, SchemaError,
-};
 
 /// Schema identifier served by the runtime introspection endpoint.
 pub const SNAPSHOT_SCHEMA: &str = "insane-telemetry-v1";
-/// Schema identifier of `BENCH_latency.json`.
-pub const BENCH_LATENCY_SCHEMA: &str = "insane-bench-latency-v1";
-/// Schema identifier of `BENCH_throughput.json`.
-pub const BENCH_THROUGHPUT_SCHEMA: &str = "insane-bench-throughput-v1";
-/// Schema identifier of `BENCH_noisy_neighbor.json`.
-pub const BENCH_NOISY_NEIGHBOR_SCHEMA: &str = "insane-bench-noisy-neighbor-v1";
-/// Schema identifier of `BENCH_hotpath.json`.
-pub const BENCH_HOTPATH_SCHEMA: &str = "insane-bench-hotpath-v1";
-/// Schema identifier of `BENCH_ipc.json`.
-pub const BENCH_IPC_SCHEMA: &str = "insane-bench-ipc-v1";
-/// Schema identifier of `BENCH_isolation.json`.
-pub const BENCH_ISOLATION_SCHEMA: &str = "insane-bench-isolation-v1";

@@ -1,15 +1,17 @@
-//! Schema validation for the BENCH export documents.
+//! The BENCH export contract: one table, one interpreter.
 //!
-//! `crates/bench` writes `BENCH_latency.json` / `BENCH_throughput.json`
-//! and `insanectl check-bench` (plus the CI bench-smoke job) re-reads
-//! them; both sides share these validators so the producer and the
-//! consumer cannot drift apart.
+//! `crates/bench` writes the `BENCH_*.json` documents and `insanectl
+//! check-bench` (plus the CI bench-smoke job) re-reads them.  Both sides
+//! run [`validate`] over the same row of [`BENCH_FILES`], so the producer
+//! and the consumer cannot drift apart, and a record's keys are stated
+//! here and in the one function that produces it — nowhere else.
+//!
+//! The rules are the repository's evidence for tenant isolation and for
+//! timing isolation of the critical class; each carries the sentence
+//! that says what the gate means, and that sentence is what a failing
+//! run prints.
 
 use crate::json::Value;
-use crate::{
-    BENCH_HOTPATH_SCHEMA, BENCH_IPC_SCHEMA, BENCH_ISOLATION_SCHEMA, BENCH_LATENCY_SCHEMA,
-    BENCH_NOISY_NEIGHBOR_SCHEMA, BENCH_THROUGHPUT_SCHEMA,
-};
 
 /// Why a BENCH document failed validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,817 +33,606 @@ impl std::fmt::Display for SchemaError {
 
 impl std::error::Error for SchemaError {}
 
-fn expect_schema(doc: &Value, want: &str) -> Result<(), SchemaError> {
+/// The closed set of conditions a record can be held to.  The first
+/// four are checked on every entry, the last two on the whole document.
+#[derive(Debug, Clone, Copy)]
+pub enum Check {
+    /// Every named integer is ≥ 1: a measurement that was taken, an
+    /// event that happened.
+    Positive(&'static [&'static str]),
+    /// The named integer is 0.
+    Zero(&'static str),
+    /// The named integers do not decrease left to right (`a ≤ b`, or a
+    /// quantile ladder).
+    Ascending(&'static [&'static str]),
+    /// The named number is finite and > 0.
+    FinitePositive(&'static str),
+    /// Some entry has the named integer at 0.
+    SomeEntryZero(&'static str),
+    /// The named integer is ≥ 1 in at least one entry, i.e. its sum
+    /// over the document is.
+    SumPositive(&'static str),
+}
+
+/// One gate: a [`Check`] and the sentence saying what a violation means.
+#[derive(Debug, Clone, Copy)]
+pub struct Rule {
+    /// The condition.
+    pub check: Check,
+    /// What the gate means; printed when it is violated.
+    pub means: &'static str,
+}
+
+/// The contract of one `BENCH_*.json` file.
+#[derive(Debug, Clone, Copy)]
+pub struct BenchSpec {
+    /// File name under `target/experiments/`.
+    pub file: &'static str,
+    /// Value of the document's `"schema"` key.
+    pub schema: &'static str,
+    /// Whether `check-bench` fails when the file is absent.
+    pub required: bool,
+    /// Non-negative integer keys every entry carries.
+    pub ints: &'static [&'static str],
+    /// Keys holding any number.
+    pub nums: &'static [&'static str],
+    /// Gates every document must pass.
+    pub rules: &'static [Rule],
+}
+
+use Check::{Ascending, FinitePositive, Positive, SomeEntryZero, SumPositive, Zero};
+
+const fn rule(check: Check, means: &'static str) -> Rule {
+    Rule { check, means }
+}
+
+const NO_SAMPLES: &str = "zero samples: an empty series has no quantiles to report";
+const ZERO_BOUND: &str = "zero bound: a ratio gate needs a bound to be held to";
+
+/// `BENCH_throughput.json`; `BENCH_shard_throughput.json` is the same
+/// record under another name.  The shard bench's 1.3x scale-out floor
+/// compares two entries' rates, which no [`Check`] expresses; it stays
+/// in the `shard` suite (DESIGN.md §9.4).
+const THROUGHPUT: BenchSpec = BenchSpec {
+    file: "BENCH_throughput.json",
+    schema: "insane-bench-throughput-v1",
+    required: true,
+    ints: &["payload_bytes", "messages"],
+    nums: &["goodput_gbps"],
+    rules: &[rule(
+        FinitePositive("goodput_gbps"),
+        "goodput must be finite and positive: a pipeline that moved nothing measured nothing",
+    )],
+};
+
+/// String keys every entry of every record carries: what was measured,
+/// and on which testbed profile.
+const LABELS: &[&str] = &["system", "testbed"];
+
+/// Every BENCH document the harness writes, in the order `check-bench`
+/// reads them.
+pub const BENCH_FILES: &[BenchSpec] = &[
+    BenchSpec {
+        file: "BENCH_latency.json",
+        schema: "insane-bench-latency-v1",
+        required: true,
+        ints: &[
+            "payload_bytes",
+            "samples",
+            "p50_ns",
+            "p90_ns",
+            "p99_ns",
+            "p999_ns",
+            "min_ns",
+            "max_ns",
+        ],
+        nums: &["mean_ns"],
+        rules: &[
+            rule(Positive(&["samples"]), NO_SAMPLES),
+            rule(
+                Ascending(&["p50_ns", "p90_ns", "p99_ns", "p999_ns", "max_ns"]),
+                "quantile ladder not monotone: p50 ≤ p90 ≤ p99 ≤ p99.9 ≤ max holds for any series",
+            ),
+        ],
+    },
+    THROUGHPUT,
+    BenchSpec {
+        file: "BENCH_shard_throughput.json",
+        required: false,
+        ..THROUGHPUT
+    },
+    // Tenant isolation against a saturating neighbour (DESIGN.md §10).
+    BenchSpec {
+        file: "BENCH_noisy_neighbor.json",
+        schema: "insane-bench-noisy-neighbor-v1",
+        required: false,
+        ints: &[
+            "payload_bytes",
+            "samples",
+            "solo_p99_ns",
+            "contended_p99_ns",
+            "isolation_ratio_x1000",
+            "bound_x1000",
+            "bulk_rejections",
+            "victim_rejections",
+        ],
+        nums: &[],
+        rules: &[
+            rule(Positive(&["samples"]), NO_SAMPLES),
+            rule(
+                Positive(&["solo_p99_ns", "contended_p99_ns"]),
+                "the victim's p99 must be positive in both phases",
+            ),
+            rule(Positive(&["bound_x1000"]), ZERO_BOUND),
+            rule(
+                Ascending(&["isolation_ratio_x1000", "bound_x1000"]),
+                "isolation violated: the victim's contended/solo p99 ratio exceeds the bound (both \
+                 in thousandths)",
+            ),
+            rule(
+                Positive(&["bulk_rejections"]),
+                "the noisy tenant saturated its limits but saw no typed rejections",
+            ),
+            rule(
+                Zero("victim_rejections"),
+                "the well-behaved tenant was rejected; isolation must not punish in-quota tenants",
+            ),
+        ],
+    },
+    // Snapshot-cell control-state reads and reload integrity (§12).
+    BenchSpec {
+        file: "BENCH_hotpath.json",
+        schema: "insane-bench-hotpath-v1",
+        required: false,
+        ints: &[
+            "samples",
+            "locked_read_ns_x1000",
+            "snapshot_read_ns_x1000",
+            "uncontended_ratio_x1000",
+            "uncontended_bound_x1000",
+            "locked_p99_ns",
+            "snapshot_p99_ns",
+            "contended_ratio_x1000",
+            "contended_bound_x1000",
+            "reloads",
+            "dropped",
+            "reordered",
+        ],
+        nums: &[],
+        rules: &[
+            rule(Positive(&["samples"]), NO_SAMPLES),
+            rule(
+                Positive(&["locked_read_ns_x1000", "snapshot_read_ns_x1000"]),
+                "per-read timings must be positive",
+            ),
+            rule(
+                Positive(&["uncontended_bound_x1000", "contended_bound_x1000"]),
+                ZERO_BOUND,
+            ),
+            rule(
+                Ascending(&["uncontended_ratio_x1000", "uncontended_bound_x1000"]),
+                "uncontended regression: with no writer, the snapshot read costs more than the \
+                 bound times the locked read it replaced (thousandths)",
+            ),
+            rule(
+                Positive(&["locked_p99_ns", "snapshot_p99_ns"]),
+                "contended p99 must be positive",
+            ),
+            rule(
+                Ascending(&["contended_ratio_x1000", "contended_bound_x1000"]),
+                "contended tail regression: under a live writer, the snapshot reader's p99 exceeds \
+                 the bound times the locked reader's (thousandths)",
+            ),
+            rule(
+                Positive(&["reloads"]),
+                "the reload-under-load phase performed no reloads",
+            ),
+            rule(
+                Zero("dropped"),
+                "message(s) dropped across a live reload; a hot reload must never lose traffic",
+            ),
+            rule(
+                Zero("reordered"),
+                "message(s) reordered across a live reload; a hot reload must never reorder \
+                 traffic",
+            ),
+        ],
+    },
+    // The OS process boundary and crash reclaim (§13).
+    BenchSpec {
+        file: "BENCH_ipc.json",
+        schema: "insane-bench-ipc-v1",
+        required: false,
+        ints: &[
+            "messages",
+            "in_process_p50_ns",
+            "in_process_p99_ns",
+            "cross_process_p50_ns",
+            "cross_process_p99_ns",
+            "ratio_x1000",
+            "bound_x1000",
+            "attach_ns",
+            "reclaim_ns",
+            "reclaimed_slots",
+            "leaked_slots",
+        ],
+        nums: &[],
+        rules: &[
+            rule(
+                Positive(&["messages"]),
+                "zero messages: no round trip was timed",
+            ),
+            rule(
+                Positive(&[
+                    "in_process_p50_ns",
+                    "in_process_p99_ns",
+                    "cross_process_p50_ns",
+                    "cross_process_p99_ns",
+                ]),
+                "round-trip percentiles must be positive for both deployments",
+            ),
+            rule(
+                Ascending(&["in_process_p50_ns", "in_process_p99_ns"]),
+                "in-process p50 exceeds p99",
+            ),
+            rule(
+                Ascending(&["cross_process_p50_ns", "cross_process_p99_ns"]),
+                "cross-process p50 exceeds p99",
+            ),
+            rule(Positive(&["bound_x1000"]), ZERO_BOUND),
+            rule(
+                Ascending(&["ratio_x1000", "bound_x1000"]),
+                "process-split overhead: the cross/in-process p99 ratio exceeds the bound (both in \
+                 thousandths)",
+            ),
+            rule(
+                Positive(&["attach_ns"]),
+                "attach latency must be positive",
+            ),
+            rule(
+                Positive(&["reclaimed_slots"]),
+                "the crash phase reclaimed no slots — force-reclaim was not exercised",
+            ),
+            rule(Positive(&["reclaim_ns"]), "reclaim latency not recorded"),
+            rule(
+                Zero("leaked_slots"),
+                "slot(s) leaked after a client crash; every slot the dead client held must come \
+                 back",
+            ),
+        ],
+    },
+    // Timing isolation of the critical class under bulk load and
+    // injected faults (§14).  `lost`, `bulk_rejections`,
+    // `injected_drops` and `reorders` are the seeded fault record:
+    // required, but unbounded — losses under injected faults are
+    // reported, not failed.
+    BenchSpec {
+        file: "BENCH_isolation.json",
+        schema: "insane-bench-isolation-v1",
+        required: false,
+        ints: &[
+            "samples",
+            "bulk_burst",
+            "p50_ns",
+            "p99_ns",
+            "p999_ns",
+            "solo_p999_ns",
+            "budget_ns",
+            "budget_violations",
+            "ratio_x1000",
+            "bound_x1000",
+            "gate_deferrals",
+            "lost",
+            "bulk_rejections",
+            "injected_drops",
+            "reorders",
+        ],
+        nums: &[],
+        rules: &[
+            rule(Positive(&["samples"]), NO_SAMPLES),
+            rule(
+                Positive(&["p50_ns", "p99_ns", "p999_ns", "solo_p999_ns", "budget_ns"]),
+                "critical-flow quantiles and the latency budget must be positive",
+            ),
+            rule(
+                Zero("budget_violations"),
+                "critical message(s) missed their latency budget; a delivered time-critical \
+                 message lands inside it at every load point, bulk saturation or not",
+            ),
+            rule(Positive(&["bound_x1000"]), ZERO_BOUND),
+            rule(
+                Ascending(&["ratio_x1000", "bound_x1000"]),
+                "tail isolation violated: the critical p99.9 over the solo baseline's exceeds the \
+                 bound (both in thousandths)",
+            ),
+            rule(
+                SomeEntryZero("bulk_burst"),
+                "no solo baseline (bulk_burst == 0) load point recorded",
+            ),
+            rule(
+                SumPositive("gate_deferrals"),
+                "no gate deferrals recorded at any load point: the time-aware gates never held a \
+                 frame, so the run measured nothing",
+            ),
+        ],
+    },
+];
+
+/// The row of [`BENCH_FILES`] for `file`.
+pub fn spec(file: &str) -> Option<&'static BenchSpec> {
+    BENCH_FILES.iter().find(|s| s.file == file)
+}
+
+/// Validates `doc` against `spec`: the schema tag, every key of every
+/// entry, then every rule.
+///
+/// # Errors
+///
+/// Describes the first mismatch found; a violated rule is reported with
+/// the rule's own sentence.
+pub fn validate(spec: &BenchSpec, doc: &Value) -> Result<(), SchemaError> {
     match doc.get("schema").and_then(Value::as_str) {
-        Some(got) if got == want => Ok(()),
-        Some(got) => Err(SchemaError::new(format!(
-            "schema mismatch: expected {want:?}, found {got:?}"
-        ))),
-        None => Err(SchemaError::new("missing string key \"schema\"")),
+        Some(got) if got == spec.schema => {}
+        Some(got) => {
+            return Err(SchemaError::new(format!(
+                "schema mismatch: expected {:?}, found {got:?}",
+                spec.schema
+            )))
+        }
+        None => return Err(SchemaError::new("missing string key \"schema\"")),
     }
-}
-
-fn entries(doc: &Value) -> Result<&[Value], SchemaError> {
-    doc.get("entries")
+    let entries = doc
+        .get("entries")
         .and_then(Value::as_array)
-        .ok_or_else(|| SchemaError::new("missing array key \"entries\""))
-}
-
-fn u64_field(entry: &Value, key: &str, i: usize) -> Result<u64, SchemaError> {
-    entry
-        .get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| SchemaError::new(format!("entry {i}: missing integer key {key:?}")))
-}
-
-fn str_field(entry: &Value, key: &str, i: usize) -> Result<(), SchemaError> {
-    entry
-        .get(key)
-        .and_then(Value::as_str)
-        .map(|_| ())
-        .ok_or_else(|| SchemaError::new(format!("entry {i}: missing string key {key:?}")))
-}
-
-/// Validates a `BENCH_latency.json` document.
-///
-/// Requires the [`BENCH_LATENCY_SCHEMA`] marker and, per entry: string
-/// `system`/`testbed`, integer `payload_bytes`/`samples`, and a
-/// monotone p50 ≤ p90 ≤ p99 ≤ p99.9 ≤ max quantile ladder.
-///
-/// # Errors
-///
-/// Describes the first missing key, type mismatch, or quantile
-/// inversion found.
-pub fn validate_bench_latency(doc: &Value) -> Result<(), SchemaError> {
-    expect_schema(doc, BENCH_LATENCY_SCHEMA)?;
-    for (i, entry) in entries(doc)?.iter().enumerate() {
-        str_field(entry, "system", i)?;
-        str_field(entry, "testbed", i)?;
-        u64_field(entry, "payload_bytes", i)?;
-        let samples = u64_field(entry, "samples", i)?;
-        if samples == 0 {
-            return Err(SchemaError::new(format!("entry {i}: zero samples")));
-        }
-        let p50 = u64_field(entry, "p50_ns", i)?;
-        let p90 = u64_field(entry, "p90_ns", i)?;
-        let p99 = u64_field(entry, "p99_ns", i)?;
-        let p999 = u64_field(entry, "p999_ns", i)?;
-        let max = u64_field(entry, "max_ns", i)?;
-        u64_field(entry, "min_ns", i)?;
-        if entry.get("mean_ns").and_then(Value::as_f64).is_none() {
-            return Err(SchemaError::new(format!(
-                "entry {i}: missing numeric key \"mean_ns\""
-            )));
-        }
-        if !(p50 <= p90 && p90 <= p99 && p99 <= p999 && p999 <= max) {
-            return Err(SchemaError::new(format!(
-                "entry {i}: quantile ladder not monotone \
-                 (p50 {p50} / p90 {p90} / p99 {p99} / p99.9 {p999} / max {max})"
-            )));
+        .ok_or_else(|| SchemaError::new("missing array key \"entries\""))?;
+    for (i, entry) in entries.iter().enumerate() {
+        let typed = |keys: &[&str], kind: &str, is_kind: fn(&Value) -> bool| match keys
+            .iter()
+            .find(|k| !entry.get(k).is_some_and(is_kind))
+        {
+            Some(key) => Err(SchemaError::new(format!(
+                "entry {i}: missing {kind} key {key:?}"
+            ))),
+            None => Ok(()),
+        };
+        typed(LABELS, "string", |v| v.as_str().is_some())?;
+        typed(spec.ints, "integer", |v| v.as_u64().is_some())?;
+        typed(spec.nums, "numeric", |v| v.as_f64().is_some())?;
+    }
+    for rule in spec.rules {
+        if let Some(found) = violation(rule.check, entries) {
+            return Err(SchemaError::new(format!("{found}: {}", rule.means)));
         }
     }
     Ok(())
 }
 
-/// Validates a `BENCH_throughput.json` document.
-///
-/// Requires the [`BENCH_THROUGHPUT_SCHEMA`] marker and, per entry:
-/// string `system`/`testbed`, integer `payload_bytes`/`messages`, and a
-/// finite positive `goodput_gbps`.
-///
-/// # Errors
-///
-/// Describes the first missing key, type mismatch, or non-positive
-/// goodput found.
-pub fn validate_bench_throughput(doc: &Value) -> Result<(), SchemaError> {
-    expect_schema(doc, BENCH_THROUGHPUT_SCHEMA)?;
-    for (i, entry) in entries(doc)?.iter().enumerate() {
-        str_field(entry, "system", i)?;
-        str_field(entry, "testbed", i)?;
-        u64_field(entry, "payload_bytes", i)?;
-        u64_field(entry, "messages", i)?;
-        let gbps = entry
-            .get("goodput_gbps")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| {
-                SchemaError::new(format!("entry {i}: missing numeric key \"goodput_gbps\""))
-            })?;
-        if !gbps.is_finite() || gbps <= 0.0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: goodput must be finite and positive, got {gbps}"
-            )));
+/// Where and how `entries` break `check`, if they do.  Every key a rule
+/// names is a declared field (unit-tested), so it is present and typed
+/// by the time this runs.
+fn violation(check: Check, entries: &[Value]) -> Option<String> {
+    let int = |e: &Value, key: &str| e.get(key).and_then(Value::as_u64).unwrap_or(0);
+    let per_entry = |broken: &dyn Fn(&Value) -> Option<String>| {
+        entries
+            .iter()
+            .enumerate()
+            .find_map(|(i, e)| broken(e).map(|what| format!("entry {i}: {what}")))
+    };
+    match check {
+        Positive(keys) => per_entry(&|e| {
+            let key = keys.iter().find(|k| int(e, k) == 0)?;
+            Some(format!("{key} is 0"))
+        }),
+        Zero(key) => per_entry(&|e| {
+            let v = int(e, key);
+            (v != 0).then(|| format!("{key} is {v}"))
+        }),
+        Ascending(keys) => per_entry(&|e| {
+            keys.windows(2).find_map(|pair| match pair {
+                [a, b] if int(e, a) > int(e, b) => {
+                    Some(format!("{a} {} > {b} {}", int(e, a), int(e, b)))
+                }
+                _ => None,
+            })
+        }),
+        FinitePositive(key) => per_entry(&|e| {
+            let v = e.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN);
+            (!v.is_finite() || v <= 0.0).then(|| format!("{key} is {v}"))
+        }),
+        SomeEntryZero(key) => {
+            (!entries.iter().any(|e| int(e, key) == 0)).then(|| format!("no entry has {key} == 0"))
+        }
+        SumPositive(key) => {
+            (!entries.iter().any(|e| int(e, key) > 0)).then(|| format!("{key} is 0 in every entry"))
         }
     }
-    Ok(())
-}
-
-/// Validates a `BENCH_noisy_neighbor.json` document.
-///
-/// Requires the [`BENCH_NOISY_NEIGHBOR_SCHEMA`] marker and, per entry:
-/// string `system`/`testbed`, integer `payload_bytes`, positive
-/// `samples`, positive victim p99s (`solo_p99_ns`, `contended_p99_ns`),
-/// and the isolation gate in fixed-point thousandths:
-/// `isolation_ratio_x1000 <= bound_x1000` (the ISSUE's 2x criterion,
-/// re-checked by every consumer, not just the producing bench run).
-/// The noisy tenant must have seen at least one typed admission or
-/// quota rejection (`bulk_rejections >= 1` — it saturated its limits)
-/// while the victim saw none (`victim_rejections == 0`).
-///
-/// # Errors
-///
-/// Describes the first missing key, type mismatch, violated isolation
-/// bound, or rejection-count anomaly found.
-pub fn validate_bench_noisy_neighbor(doc: &Value) -> Result<(), SchemaError> {
-    expect_schema(doc, BENCH_NOISY_NEIGHBOR_SCHEMA)?;
-    for (i, entry) in entries(doc)?.iter().enumerate() {
-        str_field(entry, "system", i)?;
-        str_field(entry, "testbed", i)?;
-        u64_field(entry, "payload_bytes", i)?;
-        let samples = u64_field(entry, "samples", i)?;
-        if samples == 0 {
-            return Err(SchemaError::new(format!("entry {i}: zero samples")));
-        }
-        let solo = u64_field(entry, "solo_p99_ns", i)?;
-        let contended = u64_field(entry, "contended_p99_ns", i)?;
-        if solo == 0 || contended == 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: p99 must be positive (solo {solo} / contended {contended})"
-            )));
-        }
-        let ratio = u64_field(entry, "isolation_ratio_x1000", i)?;
-        let bound = u64_field(entry, "bound_x1000", i)?;
-        if bound == 0 {
-            return Err(SchemaError::new(format!("entry {i}: zero isolation bound")));
-        }
-        if ratio > bound {
-            return Err(SchemaError::new(format!(
-                "entry {i}: isolation violated: contended/solo p99 ratio \
-                 {ratio}/1000 exceeds the bound {bound}/1000"
-            )));
-        }
-        let bulk = u64_field(entry, "bulk_rejections", i)?;
-        if bulk == 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: the noisy tenant saturated its limits but saw \
-                 no typed rejections"
-            )));
-        }
-        let victim = u64_field(entry, "victim_rejections", i)?;
-        if victim != 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: the well-behaved tenant was rejected {victim} \
-                 times; isolation must not punish in-quota tenants"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Validates a `BENCH_isolation.json` document (the mixed-criticality
-/// timing-isolation experiment, DESIGN.md §14).
-///
-/// Requires the [`BENCH_ISOLATION_SCHEMA`] marker and, per entry:
-/// string `system`/`testbed`, positive `samples`, the bulk load point
-/// (`bulk_burst`, zero for the solo baseline), positive critical-flow
-/// quantiles (`p50_ns`/`p99_ns`/`p999_ns`), and a positive per-message
-/// latency budget (`budget_ns`).  Three gates are enforced:
-///
-/// * **budget**: `budget_violations == 0` at *every* load point — a
-///   time-critical message that was delivered must have been delivered
-///   inside its budget, bulk saturation or not;
-/// * **tail isolation**: `ratio_x1000` (this load point's p99.9 over
-///   the solo baseline's `solo_p999_ns`, fixed-point thousandths) must
-///   not exceed `bound_x1000`;
-/// * **coverage**: the document must contain a solo baseline
-///   (`bulk_burst == 0`) and at least one gate deferral summed across
-///   entries — a run in which the time-aware gates never held a frame
-///   back did not exercise the machinery it claims to measure.
-///
-/// `lost`, `bulk_rejections`, `injected_drops`, and `reorders` are
-/// required integers (the seeded fault record) but carry no bound:
-/// losses under injected faults are expected and reported, not failed.
-///
-/// # Errors
-///
-/// Describes the first missing key, type mismatch, or violated gate
-/// found.
-pub fn validate_bench_isolation(doc: &Value) -> Result<(), SchemaError> {
-    expect_schema(doc, BENCH_ISOLATION_SCHEMA)?;
-    let mut has_solo = false;
-    let mut deferrals_total = 0u64;
-    let all = entries(doc)?;
-    if all.is_empty() {
-        return Err(SchemaError::new("no load points recorded"));
-    }
-    for (i, entry) in all.iter().enumerate() {
-        str_field(entry, "system", i)?;
-        str_field(entry, "testbed", i)?;
-        let samples = u64_field(entry, "samples", i)?;
-        if samples == 0 {
-            return Err(SchemaError::new(format!("entry {i}: zero samples")));
-        }
-        let bulk_burst = u64_field(entry, "bulk_burst", i)?;
-        has_solo |= bulk_burst == 0;
-        for key in ["p50_ns", "p99_ns", "p999_ns", "solo_p999_ns", "budget_ns"] {
-            if u64_field(entry, key, i)? == 0 {
-                return Err(SchemaError::new(format!(
-                    "entry {i}: {key} must be positive"
-                )));
-            }
-        }
-        let violations = u64_field(entry, "budget_violations", i)?;
-        if violations != 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: {violations} critical message(s) missed their \
-                 latency budget at bulk_burst {bulk_burst}"
-            )));
-        }
-        let ratio = u64_field(entry, "ratio_x1000", i)?;
-        let bound = u64_field(entry, "bound_x1000", i)?;
-        if bound == 0 {
-            return Err(SchemaError::new(format!("entry {i}: zero tail bound")));
-        }
-        if ratio > bound {
-            return Err(SchemaError::new(format!(
-                "entry {i}: tail isolation violated: critical p99.9 ratio \
-                 {ratio}/1000 over solo exceeds the bound {bound}/1000 at \
-                 bulk_burst {bulk_burst}"
-            )));
-        }
-        deferrals_total += u64_field(entry, "gate_deferrals", i)?;
-        u64_field(entry, "lost", i)?;
-        u64_field(entry, "bulk_rejections", i)?;
-        u64_field(entry, "injected_drops", i)?;
-        u64_field(entry, "reorders", i)?;
-    }
-    if !has_solo {
-        return Err(SchemaError::new(
-            "no solo baseline (bulk_burst == 0) load point recorded",
-        ));
-    }
-    if deferrals_total == 0 {
-        return Err(SchemaError::new(
-            "no gate deferrals recorded at any load point: the time-aware \
-             gates never held a frame, so the run measured nothing",
-        ));
-    }
-    Ok(())
-}
-
-/// Validates a `BENCH_hotpath.json` document.
-///
-/// Requires the [`BENCH_HOTPATH_SCHEMA`] marker and, per entry: string
-/// `system`/`testbed`, positive `samples`, positive per-read timings
-/// (`locked_read_ns_x1000`, `snapshot_read_ns_x1000`) and contended
-/// p99s (`locked_p99_ns`, `snapshot_p99_ns`), plus three gates:
-///
-/// * **uncontended**: `uncontended_ratio_x1000` (snapshot/locked,
-///   fixed-point thousandths) must not exceed
-///   `uncontended_bound_x1000` — the snapshot read may not be
-///   meaningfully slower than the lock it replaced when nobody
-///   contends;
-/// * **contended**: `contended_ratio_x1000` (snapshot p99 / locked p99)
-///   must not exceed `contended_bound_x1000` — under a live writer the
-///   snapshot reader's tail must not regress past the lock's tail;
-/// * **reload-under-load**: `reloads >= 1` (at least one live
-///   republication actually happened) while `dropped == 0` and
-///   `reordered == 0` — a hot reload must never lose or reorder
-///   traffic.
-///
-/// # Errors
-///
-/// Describes the first missing key, type mismatch, or violated gate
-/// found.
-pub fn validate_bench_hotpath(doc: &Value) -> Result<(), SchemaError> {
-    expect_schema(doc, BENCH_HOTPATH_SCHEMA)?;
-    for (i, entry) in entries(doc)?.iter().enumerate() {
-        str_field(entry, "system", i)?;
-        str_field(entry, "testbed", i)?;
-        let samples = u64_field(entry, "samples", i)?;
-        if samples == 0 {
-            return Err(SchemaError::new(format!("entry {i}: zero samples")));
-        }
-        let locked = u64_field(entry, "locked_read_ns_x1000", i)?;
-        let snapshot = u64_field(entry, "snapshot_read_ns_x1000", i)?;
-        if locked == 0 || snapshot == 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: per-read timings must be positive \
-                 (locked {locked} / snapshot {snapshot})"
-            )));
-        }
-        let ratio = u64_field(entry, "uncontended_ratio_x1000", i)?;
-        let bound = u64_field(entry, "uncontended_bound_x1000", i)?;
-        if bound == 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: zero uncontended bound"
-            )));
-        }
-        if ratio > bound {
-            return Err(SchemaError::new(format!(
-                "entry {i}: uncontended regression: snapshot/locked read ratio \
-                 {ratio}/1000 exceeds the bound {bound}/1000"
-            )));
-        }
-        let locked_p99 = u64_field(entry, "locked_p99_ns", i)?;
-        let snapshot_p99 = u64_field(entry, "snapshot_p99_ns", i)?;
-        if locked_p99 == 0 || snapshot_p99 == 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: contended p99 must be positive \
-                 (locked {locked_p99} / snapshot {snapshot_p99})"
-            )));
-        }
-        let cratio = u64_field(entry, "contended_ratio_x1000", i)?;
-        let cbound = u64_field(entry, "contended_bound_x1000", i)?;
-        if cbound == 0 {
-            return Err(SchemaError::new(format!("entry {i}: zero contended bound")));
-        }
-        if cratio > cbound {
-            return Err(SchemaError::new(format!(
-                "entry {i}: contended tail regression: snapshot/locked p99 ratio \
-                 {cratio}/1000 exceeds the bound {cbound}/1000"
-            )));
-        }
-        let reloads = u64_field(entry, "reloads", i)?;
-        if reloads == 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: the reload-under-load phase performed no reloads"
-            )));
-        }
-        let dropped = u64_field(entry, "dropped", i)?;
-        if dropped != 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: {dropped} message(s) dropped across a live reload"
-            )));
-        }
-        let reordered = u64_field(entry, "reordered", i)?;
-        if reordered != 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: {reordered} message(s) reordered across a live reload"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Validates a `BENCH_ipc.json` document.
-///
-/// Requires the [`BENCH_IPC_SCHEMA`] marker and, per entry: string
-/// `system`/`testbed`, positive `messages`, positive round-trip
-/// percentiles for both deployments (`in_process_p50_ns`,
-/// `in_process_p99_ns`, `cross_process_p50_ns`, `cross_process_p99_ns`,
-/// each pair with p50 ≤ p99), positive `attach_ns`, plus three gates:
-///
-/// * **process-split overhead**: `ratio_x1000` (cross-process p99 /
-///   in-process p99, fixed-point thousandths) must not exceed
-///   `bound_x1000` — crossing the OS process boundary may not cost more
-///   than the declared multiple of the in-process datapath;
-/// * **crash reclaim ran**: `reclaimed_slots >= 1` and
-///   `reclaim_ns > 0` — the bench's kill-a-client phase actually
-///   exercised force-reclaim and measured its latency;
-/// * **no leaks**: `leaked_slots == 0` — every slot the crashed client
-///   held came back to the pool.
-///
-/// # Errors
-///
-/// Describes the first missing key, type mismatch, or violated gate
-/// found.
-pub fn validate_bench_ipc(doc: &Value) -> Result<(), SchemaError> {
-    expect_schema(doc, BENCH_IPC_SCHEMA)?;
-    for (i, entry) in entries(doc)?.iter().enumerate() {
-        str_field(entry, "system", i)?;
-        str_field(entry, "testbed", i)?;
-        let messages = u64_field(entry, "messages", i)?;
-        if messages == 0 {
-            return Err(SchemaError::new(format!("entry {i}: zero messages")));
-        }
-        for deployment in ["in_process", "cross_process"] {
-            let p50 = u64_field(entry, &format!("{deployment}_p50_ns"), i)?;
-            let p99 = u64_field(entry, &format!("{deployment}_p99_ns"), i)?;
-            if p50 == 0 || p99 == 0 {
-                return Err(SchemaError::new(format!(
-                    "entry {i}: {deployment} round-trip percentiles must be \
-                     positive (p50 {p50} / p99 {p99})"
-                )));
-            }
-            if p50 > p99 {
-                return Err(SchemaError::new(format!(
-                    "entry {i}: {deployment} p50 {p50} exceeds p99 {p99}"
-                )));
-            }
-        }
-        let ratio = u64_field(entry, "ratio_x1000", i)?;
-        let bound = u64_field(entry, "bound_x1000", i)?;
-        if bound == 0 {
-            return Err(SchemaError::new(format!("entry {i}: zero overhead bound")));
-        }
-        if ratio > bound {
-            return Err(SchemaError::new(format!(
-                "entry {i}: process-split overhead: cross/in-process p99 ratio \
-                 {ratio}/1000 exceeds the bound {bound}/1000"
-            )));
-        }
-        let attach = u64_field(entry, "attach_ns", i)?;
-        if attach == 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: attach latency must be positive"
-            )));
-        }
-        let reclaimed = u64_field(entry, "reclaimed_slots", i)?;
-        if reclaimed == 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: the crash phase reclaimed no slots — \
-                 force-reclaim was not exercised"
-            )));
-        }
-        let reclaim_ns = u64_field(entry, "reclaim_ns", i)?;
-        if reclaim_ns == 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: reclaim latency not recorded"
-            )));
-        }
-        let leaked = u64_field(entry, "leaked_slots", i)?;
-        if leaked != 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: {leaked} slot(s) leaked after a client crash"
-            )));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn latency_entry() -> Value {
+    /// A document `spec` accepts, built from the table alone: two
+    /// entries, every integer 1 except keys a `Zero` rule pins to 0 and
+    /// `SomeEntryZero` keys, which are 0 in the first entry only.
+    fn passing(spec: &BenchSpec) -> Value {
+        let entry = |first: bool| {
+            let int = |key: &'static str| {
+                let zero = spec.rules.iter().any(|r| match r.check {
+                    Zero(k) => k == key,
+                    SomeEntryZero(k) => first && k == key,
+                    _ => false,
+                });
+                (key, Value::Int(u64::from(!zero)))
+            };
+            Value::object(
+                (LABELS.iter().map(|k| (*k, "x".into())))
+                    .chain(spec.ints.iter().map(|k| int(k)))
+                    .chain(spec.nums.iter().map(|k| (*k, 1.5f64.into()))),
+            )
+        };
         Value::object([
-            ("system", "INSANE fast".into()),
-            ("testbed", "Local".into()),
-            ("payload_bytes", 64u64.into()),
-            ("samples", 300u64.into()),
-            ("p50_ns", 1000u64.into()),
-            ("p90_ns", 1500u64.into()),
-            ("p99_ns", 2000u64.into()),
-            ("p999_ns", 2500u64.into()),
-            ("mean_ns", 1100.5f64.into()),
-            ("min_ns", 900u64.into()),
-            ("max_ns", 3000u64.into()),
+            ("schema", spec.schema.into()),
+            ("factor", 1.0f64.into()),
+            ("entries", Value::Array(vec![entry(true), entry(false)])),
         ])
     }
 
-    #[test]
-    fn valid_latency_doc_passes() {
-        let doc = Value::object([
-            ("schema", BENCH_LATENCY_SCHEMA.into()),
-            ("factor", 1.0f64.into()),
-            ("entries", Value::Array(vec![latency_entry()])),
-        ]);
-        assert_eq!(validate_bench_latency(&doc), Ok(()));
+    /// `passing(spec)` with `key` replaced (`None` removes it) in the
+    /// last entry, or in every entry.
+    fn with(spec: &BenchSpec, key: &str, value: Option<Value>, every_entry: bool) -> Value {
+        let mut doc = passing(spec);
+        let Value::Object(top) = &mut doc else {
+            unreachable!()
+        };
+        let Some((_, Value::Array(entries))) = top.iter_mut().find(|(k, _)| k == "entries") else {
+            unreachable!()
+        };
+        let skip = if every_entry { 0 } else { entries.len() - 1 };
+        for entry in entries.iter_mut().skip(skip) {
+            let Value::Object(pairs) = entry else {
+                unreachable!()
+            };
+            pairs.retain(|(k, _)| k != key);
+            if let Some(v) = &value {
+                pairs.push((key.to_string(), v.clone()));
+            }
+        }
+        doc
     }
 
+    #[track_caller]
+    fn rejected(spec: &BenchSpec, doc: &Value, needle: &str) {
+        let err = validate(spec, doc).expect_err(needle).to_string();
+        assert!(
+            err.contains(needle),
+            "{}: {err:?} lacks {needle:?}",
+            spec.file
+        );
+    }
+
+    /// `violation` reads rule keys with a default; this is what makes
+    /// that default unreachable.
     #[test]
-    fn wrong_schema_marker_is_rejected() {
-        let doc = Value::object([
-            ("schema", "something-else".into()),
+    fn every_rule_names_declared_fields_of_the_kind_it_reads() {
+        for spec in BENCH_FILES {
+            for rule in spec.rules {
+                match rule.check {
+                    Positive(keys) | Ascending(keys) => {
+                        assert!(!keys.is_empty(), "{}", spec.file);
+                        for key in keys {
+                            assert!(spec.ints.contains(key), "{}: {key}", spec.file);
+                        }
+                    }
+                    Zero(key) | SomeEntryZero(key) | SumPositive(key) => {
+                        assert!(spec.ints.contains(&key), "{}: {key}", spec.file);
+                    }
+                    FinitePositive(key) => {
+                        assert!(spec.nums.contains(&key), "{}: {key}", spec.file);
+                    }
+                }
+                assert!(rule.means.len() > 20, "{}: {:?}", spec.file, rule.check);
+            }
+        }
+    }
+
+    /// For every spec: the generated document passes (also after a
+    /// write → parse round trip), and one document per field and per
+    /// rule, broken in exactly that place, is rejected with the key
+    /// resp. the rule's sentence in the message.  A loop over the table,
+    /// so a spec or rule added later is covered without a new test.
+    #[test]
+    fn each_spec_accepts_its_document_and_rejects_every_single_break() {
+        for spec in BENCH_FILES {
+            let good = passing(spec);
+            assert_eq!(validate(spec, &good), Ok(()), "{}", spec.file);
+            let reparsed = Value::parse(&good.to_string()).unwrap();
+            assert_eq!(validate(spec, &reparsed), Ok(()), "{}", spec.file);
+            assert_eq!(super::spec(spec.file).map(|s| s.file), Some(spec.file));
+
+            let mislabeled = Value::object([
+                ("schema", "something-else".into()),
+                ("entries", Value::Array(vec![])),
+            ]);
+            rejected(spec, &mislabeled, "schema mismatch");
+            let headless = Value::object([("schema", spec.schema.into())]);
+            rejected(spec, &headless, "\"entries\"");
+
+            for key in LABELS {
+                rejected(spec, &with(spec, key, None, false), key);
+                rejected(spec, &with(spec, key, Some(1u64.into()), false), key);
+            }
+            for key in spec.ints.iter().chain(spec.nums) {
+                rejected(spec, &with(spec, key, None, false), key);
+                rejected(spec, &with(spec, key, Some("1".into()), false), key);
+            }
+
+            for rule in spec.rules {
+                let broken: Vec<Value> = match rule.check {
+                    Positive(keys) => keys
+                        .iter()
+                        .map(|k| with(spec, k, Some(0u64.into()), false))
+                        .collect(),
+                    Zero(key) => vec![with(spec, key, Some(1u64.into()), false)],
+                    Ascending(keys) => keys
+                        .windows(2)
+                        .map(|pair| with(spec, pair[0], Some(2u64.into()), false))
+                        .collect(),
+                    FinitePositive(key) => [0.0, -1.0, f64::INFINITY, f64::NAN]
+                        .into_iter()
+                        .map(|v| with(spec, key, Some(v.into()), false))
+                        .collect(),
+                    SomeEntryZero(key) => vec![with(spec, key, Some(1u64.into()), true)],
+                    SumPositive(key) => vec![with(spec, key, Some(0u64.into()), true)],
+                };
+                assert!(!broken.is_empty());
+                for doc in &broken {
+                    rejected(spec, doc, rule.means);
+                }
+            }
+        }
+    }
+
+    /// The negative cases the six hand-written validators were tested
+    /// with, by the phrase an operator greps a failed run for.
+    #[test]
+    fn the_named_gate_violations_are_still_rejected() {
+        let int = |v: u64| Value::Int(v);
+        #[rustfmt::skip]
+        let cases: &[(&str, &str, Value, bool, &str)] = &[
+            ("BENCH_latency.json", "p90_ns", int(5_000), false, "not monotone"),
+            ("BENCH_latency.json", "samples", int(0), false, "zero samples"),
+            ("BENCH_throughput.json", "goodput_gbps", 0.0.into(), false, "finite and positive"),
+            ("BENCH_shard_throughput.json", "goodput_gbps", 0.0.into(), false, "finite and positive"),
+            ("BENCH_noisy_neighbor.json", "isolation_ratio_x1000", int(2_400), false, "isolation violated"),
+            ("BENCH_noisy_neighbor.json", "bulk_rejections", int(0), false, "no typed rejections"),
+            ("BENCH_noisy_neighbor.json", "victim_rejections", int(3), false, "in-quota"),
+            ("BENCH_isolation.json", "budget_violations", int(2), false, "latency budget"),
+            ("BENCH_isolation.json", "ratio_x1000", int(2_400), false, "tail isolation violated"),
+            ("BENCH_isolation.json", "bulk_burst", int(8), true, "solo baseline"),
+            ("BENCH_isolation.json", "gate_deferrals", int(0), true, "never held a frame"),
+            ("BENCH_hotpath.json", "uncontended_ratio_x1000", int(1_400), false, "uncontended regression"),
+            ("BENCH_hotpath.json", "contended_ratio_x1000", int(2_000), false, "tail regression"),
+            ("BENCH_hotpath.json", "reloads", int(0), false, "no reloads"),
+            ("BENCH_hotpath.json", "dropped", int(2), false, "dropped"),
+            ("BENCH_hotpath.json", "reordered", int(1), false, "reordered"),
+            ("BENCH_ipc.json", "ratio_x1000", int(2_400), false, "process-split overhead"),
+            ("BENCH_ipc.json", "leaked_slots", int(3), false, "leaked"),
+            ("BENCH_ipc.json", "reclaimed_slots", int(0), false, "force-reclaim"),
+            ("BENCH_ipc.json", "cross_process_p50_ns", int(5_000), false, "exceeds p99"),
+        ];
+        for (file, key, value, every_entry, needle) in cases {
+            let spec = spec(file).unwrap();
+            let doc = with(spec, key, Some(value.clone()), *every_entry);
+            rejected(spec, &doc, needle);
+        }
+        // An isolation document with no load point at all has no solo
+        // baseline either.
+        let isolation = spec("BENCH_isolation.json").unwrap();
+        let empty = Value::object([
+            ("schema", isolation.schema.into()),
             ("entries", Value::Array(vec![])),
         ]);
-        let err = validate_bench_latency(&doc).unwrap_err();
-        assert!(err.to_string().contains("schema mismatch"), "{err}");
-    }
-
-    #[test]
-    fn quantile_inversion_is_rejected() {
-        let mut entry = latency_entry();
-        if let Value::Object(pairs) = &mut entry {
-            for (k, v) in pairs.iter_mut() {
-                if k == "p90_ns" {
-                    *v = Value::Int(5000); // above p99
-                }
-            }
-        }
-        let doc = Value::object([
-            ("schema", BENCH_LATENCY_SCHEMA.into()),
-            ("entries", Value::Array(vec![entry])),
-        ]);
-        let err = validate_bench_latency(&doc).unwrap_err();
-        assert!(err.to_string().contains("not monotone"), "{err}");
-    }
-
-    #[test]
-    fn valid_throughput_doc_passes() {
-        let doc = Value::object([
-            ("schema", BENCH_THROUGHPUT_SCHEMA.into()),
-            (
-                "entries",
-                Value::Array(vec![Value::object([
-                    ("system", "INSANE fast".into()),
-                    ("testbed", "Local".into()),
-                    ("payload_bytes", 1024u64.into()),
-                    ("messages", 6000u64.into()),
-                    ("goodput_gbps", 12.5f64.into()),
-                ])]),
-            ),
-        ]);
-        assert_eq!(validate_bench_throughput(&doc), Ok(()));
-    }
-
-    #[test]
-    fn non_positive_goodput_is_rejected() {
-        let doc = Value::object([
-            ("schema", BENCH_THROUGHPUT_SCHEMA.into()),
-            (
-                "entries",
-                Value::Array(vec![Value::object([
-                    ("system", "udp".into()),
-                    ("testbed", "Local".into()),
-                    ("payload_bytes", 64u64.into()),
-                    ("messages", 10u64.into()),
-                    ("goodput_gbps", 0.0f64.into()),
-                ])]),
-            ),
-        ]);
-        assert!(validate_bench_throughput(&doc).is_err());
-    }
-
-    fn noisy_entry() -> Value {
-        Value::object([
-            ("system", "INSANE multi-tenant".into()),
-            ("testbed", "Local".into()),
-            ("payload_bytes", 64u64.into()),
-            ("samples", 200u64.into()),
-            ("solo_p99_ns", 10_000u64.into()),
-            ("contended_p99_ns", 15_000u64.into()),
-            ("isolation_ratio_x1000", 1_500u64.into()),
-            ("bound_x1000", 2_000u64.into()),
-            ("bulk_rejections", 12u64.into()),
-            ("victim_rejections", 0u64.into()),
-        ])
-    }
-
-    fn noisy_doc(entry: Value) -> Value {
-        Value::object([
-            ("schema", BENCH_NOISY_NEIGHBOR_SCHEMA.into()),
-            ("entries", Value::Array(vec![entry])),
-        ])
-    }
-
-    fn set_field(entry: &mut Value, key: &str, v: u64) {
-        if let Value::Object(pairs) = entry {
-            for (k, val) in pairs.iter_mut() {
-                if k == key {
-                    *val = Value::Int(v);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn valid_noisy_neighbor_doc_passes() {
-        assert_eq!(
-            validate_bench_noisy_neighbor(&noisy_doc(noisy_entry())),
-            Ok(())
-        );
-    }
-
-    #[test]
-    fn violated_isolation_bound_is_rejected() {
-        let mut entry = noisy_entry();
-        set_field(&mut entry, "isolation_ratio_x1000", 2_400);
-        let err = validate_bench_noisy_neighbor(&noisy_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("isolation violated"), "{err}");
-    }
-
-    #[test]
-    fn noisy_tenant_without_rejections_is_rejected() {
-        let mut entry = noisy_entry();
-        set_field(&mut entry, "bulk_rejections", 0);
-        let err = validate_bench_noisy_neighbor(&noisy_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("no typed rejections"), "{err}");
-    }
-
-    #[test]
-    fn punished_victim_is_rejected() {
-        let mut entry = noisy_entry();
-        set_field(&mut entry, "victim_rejections", 3);
-        let err = validate_bench_noisy_neighbor(&noisy_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("in-quota"), "{err}");
-    }
-
-    fn isolation_entry(bulk_burst: u64) -> Value {
-        Value::object([
-            ("system", "INSANE tas".into()),
-            ("testbed", "Local".into()),
-            ("samples", 200u64.into()),
-            ("bulk_burst", bulk_burst.into()),
-            ("p50_ns", 400_000u64.into()),
-            ("p99_ns", 780_000u64.into()),
-            ("p999_ns", 820_000u64.into()),
-            ("solo_p999_ns", 800_000u64.into()),
-            ("budget_ns", 25_000_000u64.into()),
-            ("budget_violations", 0u64.into()),
-            ("ratio_x1000", 1_025u64.into()),
-            ("bound_x1000", 2_000u64.into()),
-            ("gate_deferrals", 40u64.into()),
-            ("lost", 1u64.into()),
-            ("bulk_rejections", 12u64.into()),
-            ("injected_drops", 1u64.into()),
-            ("reorders", 3u64.into()),
-        ])
-    }
-
-    fn isolation_doc(entries: Vec<Value>) -> Value {
-        Value::object([
-            ("schema", BENCH_ISOLATION_SCHEMA.into()),
-            ("entries", Value::Array(entries)),
-        ])
-    }
-
-    #[test]
-    fn valid_isolation_doc_passes() {
-        let doc = isolation_doc(vec![isolation_entry(0), isolation_entry(16)]);
-        assert_eq!(validate_bench_isolation(&doc), Ok(()));
-    }
-
-    #[test]
-    fn isolation_budget_violation_is_rejected() {
-        let mut contended = isolation_entry(16);
-        set_field(&mut contended, "budget_violations", 2);
-        let doc = isolation_doc(vec![isolation_entry(0), contended]);
-        let err = validate_bench_isolation(&doc).unwrap_err();
-        assert!(err.to_string().contains("latency budget"), "{err}");
-    }
-
-    #[test]
-    fn isolation_tail_ratio_over_bound_is_rejected() {
-        let mut contended = isolation_entry(16);
-        set_field(&mut contended, "ratio_x1000", 2_400);
-        let doc = isolation_doc(vec![isolation_entry(0), contended]);
-        let err = validate_bench_isolation(&doc).unwrap_err();
-        assert!(err.to_string().contains("tail isolation violated"), "{err}");
-    }
-
-    #[test]
-    fn isolation_without_solo_baseline_is_rejected() {
-        let doc = isolation_doc(vec![isolation_entry(8), isolation_entry(16)]);
-        let err = validate_bench_isolation(&doc).unwrap_err();
-        assert!(err.to_string().contains("solo baseline"), "{err}");
-    }
-
-    #[test]
-    fn isolation_without_any_gate_deferral_is_rejected() {
-        let mut solo = isolation_entry(0);
-        let mut contended = isolation_entry(16);
-        set_field(&mut solo, "gate_deferrals", 0);
-        set_field(&mut contended, "gate_deferrals", 0);
-        let doc = isolation_doc(vec![solo, contended]);
-        let err = validate_bench_isolation(&doc).unwrap_err();
-        assert!(err.to_string().contains("never held a frame"), "{err}");
-    }
-
-    fn hotpath_entry() -> Value {
-        Value::object([
-            ("system", "INSANE hot path".into()),
-            ("testbed", "Local".into()),
-            ("samples", 100_000u64.into()),
-            ("locked_read_ns_x1000", 18_000u64.into()),
-            ("snapshot_read_ns_x1000", 6_000u64.into()),
-            ("uncontended_ratio_x1000", 333u64.into()),
-            ("uncontended_bound_x1000", 1_100u64.into()),
-            ("locked_p99_ns", 40_000u64.into()),
-            ("snapshot_p99_ns", 9_000u64.into()),
-            ("contended_ratio_x1000", 225u64.into()),
-            ("contended_bound_x1000", 1_100u64.into()),
-            ("reloads", 4u64.into()),
-            ("dropped", 0u64.into()),
-            ("reordered", 0u64.into()),
-        ])
-    }
-
-    fn hotpath_doc(entry: Value) -> Value {
-        Value::object([
-            ("schema", BENCH_HOTPATH_SCHEMA.into()),
-            ("entries", Value::Array(vec![entry])),
-        ])
-    }
-
-    #[test]
-    fn valid_hotpath_doc_passes() {
-        assert_eq!(
-            validate_bench_hotpath(&hotpath_doc(hotpath_entry())),
-            Ok(())
-        );
-    }
-
-    #[test]
-    fn uncontended_regression_is_rejected() {
-        let mut entry = hotpath_entry();
-        set_field(&mut entry, "uncontended_ratio_x1000", 1_400);
-        let err = validate_bench_hotpath(&hotpath_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("uncontended regression"), "{err}");
-    }
-
-    #[test]
-    fn contended_tail_regression_is_rejected() {
-        let mut entry = hotpath_entry();
-        set_field(&mut entry, "contended_ratio_x1000", 2_000);
-        let err = validate_bench_hotpath(&hotpath_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("tail regression"), "{err}");
-    }
-
-    #[test]
-    fn reload_without_reloads_is_rejected() {
-        let mut entry = hotpath_entry();
-        set_field(&mut entry, "reloads", 0);
-        let err = validate_bench_hotpath(&hotpath_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("no reloads"), "{err}");
-    }
-
-    #[test]
-    fn dropped_or_reordered_messages_are_rejected() {
-        let mut entry = hotpath_entry();
-        set_field(&mut entry, "dropped", 2);
-        let err = validate_bench_hotpath(&hotpath_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("dropped"), "{err}");
-
-        let mut entry = hotpath_entry();
-        set_field(&mut entry, "reordered", 1);
-        let err = validate_bench_hotpath(&hotpath_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("reordered"), "{err}");
-    }
-
-    fn ipc_entry() -> Value {
-        Value::object([
-            ("system", "INSANE process split".into()),
-            ("testbed", "Local".into()),
-            ("messages", 100_000u64.into()),
-            ("in_process_p50_ns", 600u64.into()),
-            ("in_process_p99_ns", 2_000u64.into()),
-            ("cross_process_p50_ns", 900u64.into()),
-            ("cross_process_p99_ns", 3_000u64.into()),
-            ("ratio_x1000", 1_500u64.into()),
-            ("bound_x1000", 2_000u64.into()),
-            ("attach_ns", 250_000u64.into()),
-            ("reclaim_ns", 80_000u64.into()),
-            ("reclaimed_slots", 12u64.into()),
-            ("leaked_slots", 0u64.into()),
-        ])
-    }
-
-    fn ipc_doc(entry: Value) -> Value {
-        Value::object([
-            ("schema", BENCH_IPC_SCHEMA.into()),
-            ("entries", Value::Array(vec![entry])),
-        ])
-    }
-
-    #[test]
-    fn valid_ipc_doc_passes() {
-        assert_eq!(validate_bench_ipc(&ipc_doc(ipc_entry())), Ok(()));
-    }
-
-    #[test]
-    fn ipc_overhead_past_the_bound_is_rejected() {
-        let mut entry = ipc_entry();
-        set_field(&mut entry, "ratio_x1000", 2_400);
-        let err = validate_bench_ipc(&ipc_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("process-split overhead"), "{err}");
-    }
-
-    #[test]
-    fn ipc_leaked_slots_are_rejected() {
-        let mut entry = ipc_entry();
-        set_field(&mut entry, "leaked_slots", 3);
-        let err = validate_bench_ipc(&ipc_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("leaked"), "{err}");
-    }
-
-    #[test]
-    fn ipc_without_a_reclaim_phase_is_rejected() {
-        let mut entry = ipc_entry();
-        set_field(&mut entry, "reclaimed_slots", 0);
-        let err = validate_bench_ipc(&ipc_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("force-reclaim"), "{err}");
-    }
-
-    #[test]
-    fn ipc_inverted_percentiles_are_rejected() {
-        let mut entry = ipc_entry();
-        set_field(&mut entry, "cross_process_p50_ns", 5_000);
-        let err = validate_bench_ipc(&ipc_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("exceeds p99"), "{err}");
-    }
-
-    #[test]
-    fn missing_entry_key_is_named_in_the_error() {
-        let mut entry = latency_entry();
-        if let Value::Object(pairs) = &mut entry {
-            pairs.retain(|(k, _)| k != "p999_ns");
-        }
-        let doc = Value::object([
-            ("schema", BENCH_LATENCY_SCHEMA.into()),
-            ("entries", Value::Array(vec![entry])),
-        ]);
-        let err = validate_bench_latency(&doc).unwrap_err();
-        assert!(err.to_string().contains("p999_ns"), "{err}");
+        rejected(isolation, &empty, "solo baseline");
     }
 }

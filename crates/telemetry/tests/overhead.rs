@@ -17,6 +17,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use insane_core::runtime::poll_until_quiescent;
 use insane_core::{
@@ -59,6 +60,12 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
+
+/// Held by each test for its whole body.  `ALLOCATIONS` counts the whole
+/// process, so the timing test's allocations would otherwise land in the
+/// allocation test's window whenever the harness runs the two in
+/// parallel; and the timing test wants the cores to itself.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// One manually-driven loopback pair over the kernel-UDP datapath with
 /// the given telemetry configuration, plus a primed source/sink on
@@ -162,6 +169,7 @@ impl Loopback {
 
 #[test]
 fn telemetry_adds_zero_allocations_on_the_emit_consume_path() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let fabric = Fabric::new(TestbedProfile::local());
     let disabled = loopback(&fabric, 1, TelemetryConfig::disabled());
     let sampled = loopback(&fabric, 3, TelemetryConfig::default().with_sample_every(16));
@@ -192,6 +200,7 @@ fn telemetry_adds_zero_allocations_on_the_emit_consume_path() {
 
 #[test]
 fn telemetry_round_trip_overhead_is_under_five_percent() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     if std::env::var_os("INSANE_SKIP_OVERHEAD_GUARD").is_some() {
         eprintln!("INSANE_SKIP_OVERHEAD_GUARD set: skipping timing comparison");
         return;

@@ -25,11 +25,9 @@
 //!   the session protocol's `probe` request and checks the daemon
 //!   answers with a compatible protocol version, without creating a
 //!   session or mapping a segment.
-//! * `check-bench <dir>` — validate `BENCH_latency.json`,
-//!   `BENCH_throughput.json` and (when present)
-//!   `BENCH_shard_throughput.json` / `BENCH_noisy_neighbor.json` /
-//!   `BENCH_hotpath.json` / `BENCH_ipc.json` / `BENCH_isolation.json`
-//!   in `dir` against their schemas.
+//! * `check-bench <dir>` — validate every `BENCH_*.json` document of
+//!   the contract table (`insane_telemetry::schema::BENCH_FILES`) found
+//!   in `dir`, gates included; a missing required one is an error.
 //!
 //! Every socket-taking subcommand also accepts the flag form
 //! `insanectl --socket <path> <cmd>`, which reads better in scripts
@@ -42,10 +40,8 @@ use std::io::{BufRead as _, BufReader, Write as _};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
-use insane_telemetry::{
-    validate_bench_hotpath, validate_bench_ipc, validate_bench_isolation, validate_bench_latency,
-    validate_bench_noisy_neighbor, validate_bench_throughput, Value,
-};
+use insane_telemetry::schema::{validate, BENCH_FILES};
+use insane_telemetry::Value;
 
 /// Any failure: usage, I/O, JSON, schema, or endpoint-reported.
 #[derive(Debug)]
@@ -394,51 +390,22 @@ fn stats(socket: &Path) -> Result<(), CtlError> {
 }
 
 fn check_bench(dir: &Path) -> Result<(), CtlError> {
-    let check = |name: &str,
-                 validate: fn(&Value) -> Result<(), insane_telemetry::SchemaError>|
-     -> Result<(), CtlError> {
-        let path = dir.join(name);
+    for spec in BENCH_FILES {
+        let path = dir.join(spec.file);
+        // An optional document's suite may not have run; a present file
+        // must pass its contract, gates included.
+        if !spec.required && !path.exists() {
+            continue;
+        }
         let text = std::fs::read_to_string(&path)
             .map_err(|e| CtlError(format!("{}: {e}", path.display())))?;
         let doc = Value::parse(&text)?;
-        validate(&doc).map_err(|e| CtlError(format!("{name}: {e}")))?;
+        validate(spec, &doc).map_err(|e| CtlError(format!("{}: {e}", spec.file)))?;
         let entries = doc
             .get("entries")
             .and_then(Value::as_array)
             .map_or(0, <[Value]>::len);
-        println!("{name}: ok ({entries} entries)");
-        Ok(())
-    };
-    check("BENCH_latency.json", validate_bench_latency)?;
-    check("BENCH_throughput.json", validate_bench_throughput)?;
-    // The shard scale-out document is optional (the shard bench may not
-    // have run), but when present it must satisfy the throughput schema.
-    if dir.join("BENCH_shard_throughput.json").exists() {
-        check("BENCH_shard_throughput.json", validate_bench_throughput)?;
-    }
-    // Same for the noisy-neighbor isolation document: optional, but a
-    // present file must pass its schema, including the isolation gate.
-    if dir.join("BENCH_noisy_neighbor.json").exists() {
-        check("BENCH_noisy_neighbor.json", validate_bench_noisy_neighbor)?;
-    }
-    // And the hot-path document: optional, but a present file must pass
-    // the uncontended/contended ratio gates and the reload-integrity
-    // invariants.
-    if dir.join("BENCH_hotpath.json").exists() {
-        check("BENCH_hotpath.json", validate_bench_hotpath)?;
-    }
-    // And the process-split document: optional, but a present file must
-    // pass the overhead bound and the crash-reclaim gates (reclaim ran,
-    // zero leaked slots).
-    if dir.join("BENCH_ipc.json").exists() {
-        check("BENCH_ipc.json", validate_bench_ipc)?;
-    }
-    // And the mixed-criticality timing-isolation document: optional,
-    // but a present file must pass the budget gate (zero violations at
-    // every load point), the p99.9 tail bound, and the coverage checks
-    // (solo baseline present, gates actually deferred frames).
-    if dir.join("BENCH_isolation.json").exists() {
-        check("BENCH_isolation.json", validate_bench_isolation)?;
+        println!("{}: ok ({entries} entries)", spec.file);
     }
     Ok(())
 }
