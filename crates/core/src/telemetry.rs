@@ -223,11 +223,12 @@ pub(crate) use glue::{DatapathTel, RuntimeTelemetry, SinkTel};
 /// §12); anything else gets a JSON error.
 pub(crate) mod introspection {
     use crate::runtime::RuntimeInner;
-    use crate::InsaneError;
+    use crate::{epoch_ns, InsaneError};
     use insane_ipc::uds::{bind_guarded, BoundSocket};
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::UnixStream;
     use std::path::PathBuf;
+    use std::sync::atomic::Ordering;
     use std::sync::Weak;
     use std::time::Duration;
 
@@ -280,6 +281,131 @@ pub(crate) mod introspection {
             }
         }
         // `bound` drops here, unlinking the socket file.
+    }
+
+    impl RuntimeInner {
+        /// Builds the introspection snapshot served over the endpoint and
+        /// by [`Runtime::telemetry_json`].
+        pub(crate) fn introspection_json(&self) -> String {
+            use insane_telemetry::Value;
+            let reg = self.telemetry.snapshot();
+            // One datapath entry per (plugin, shard), combining the
+            // telemetry counters (when recording is enabled) with the
+            // health gate and the shard's live scheduler occupancy.
+            let nshards = self.config.shards_per_datapath;
+            let datapaths: Vec<Value> = self
+                .plugins
+                .iter()
+                .enumerate()
+                .flat_map(|(idx, plugin)| {
+                    let name = plugin.technology().name().to_lowercase();
+                    let reg = reg.as_ref();
+                    (0..nshards).map(move |s| {
+                        // Registration order in `Runtime::start` is
+                        // datapath-major, shard-minor.
+                        let counters = reg
+                            .and_then(|r| r.datapaths.get(idx * nshards + s))
+                            .filter(|d| d.name == name && d.shard == s)
+                            .cloned()
+                            .unwrap_or_default();
+                        let sh = self.shards.get(idx).and_then(|dp| dp.get(s));
+                        let queued = sh.map_or(0, |sh| sh.scheduler.lock().len() as u64);
+                        let burst = sh.map_or(0, |sh| sh.burst.load(Ordering::Relaxed) as u64);
+                        Value::object([
+                            ("technology", Value::from(name.clone())),
+                            ("shard", Value::from(s as u64)),
+                            (
+                                "down",
+                                Value::Bool(self.plugin_down[idx].load(Ordering::Relaxed)),
+                            ),
+                            ("tx_messages", Value::from(counters.tx_messages)),
+                            ("rx_messages", Value::from(counters.rx_messages)),
+                            ("scheduled", Value::from(counters.scheduled)),
+                            ("queued", Value::from(queued)),
+                            ("burst", Value::from(burst)),
+                        ])
+                    })
+                })
+                .collect();
+            let streams: Vec<Value> = reg
+                .as_ref()
+                .map(|r| r.streams.iter().map(|s| s.to_json()).collect())
+                .unwrap_or_default();
+            let pools: Vec<Value> = self
+                .pools
+                .classes()
+                .map(|pool| {
+                    let stats = pool.stats();
+                    Value::object([
+                        ("slot_size", Value::from(pool.slot_size() as u64)),
+                        ("slot_count", Value::from(pool.slot_count() as u64)),
+                        ("free_slots", Value::from(pool.free_slots() as u64)),
+                        ("in_use", Value::from(stats.in_use as u64)),
+                        ("high_water", Value::from(stats.high_water as u64)),
+                        ("exhaustions", Value::from(stats.exhaustions)),
+                        ("acquires", Value::from(stats.acquires)),
+                        ("misuse_rejections", Value::from(stats.misuse_rejections)),
+                    ])
+                })
+                .collect();
+            // Per-tenant rollup: slot quotas from the memory ledger joined
+            // with the admission controller's counters and the telemetry
+            // latency rollup (same tenant order is not guaranteed, so join
+            // by id; anonymous tenant 0 is included).
+            let admission = self.admission.usage();
+            let tenants: Vec<Value> = self
+                .pools
+                .tenant_usage()
+                .iter()
+                .map(|usage| {
+                    let adm = admission.iter().find(|a| a.tenant == usage.tenant);
+                    let lat = reg
+                        .as_ref()
+                        .and_then(|r| r.tenants.iter().find(|t| t.tenant == usage.tenant));
+                    Value::object([
+                        ("tenant", Value::from(u64::from(usage.tenant))),
+                        ("held", Value::from(usage.held as u64)),
+                        ("reserved", Value::from(usage.reserved as u64)),
+                        ("max", Value::from(usage.max as u64)),
+                        ("quota_rejections", Value::from(usage.quota_rejections)),
+                        ("admitted", Value::from(adm.map_or(0, |a| a.admitted))),
+                        ("rejected", Value::from(adm.map_or(0, |a| a.rejected))),
+                        ("shed", Value::from(adm.map_or(0, |a| a.shed))),
+                        ("throttled", Value::from(adm.map_or(0, |a| a.throttled))),
+                        ("consumed", Value::from(lat.map_or(0, |t| t.consumed))),
+                        ("p50_ns", Value::from(lat.map_or(0, |t| t.total.p50_ns))),
+                        ("p99_ns", Value::from(lat.map_or(0, |t| t.total.p99_ns))),
+                    ])
+                })
+                .collect();
+            let f = self.fabric.faults().stats();
+            let faults = Value::object([
+                ("injected_drops", Value::from(f.injected_drops)),
+                ("corruptions", Value::from(f.corruptions)),
+                ("duplicates", Value::from(f.duplicates)),
+                ("reorders", Value::from(f.reorders)),
+                ("link_down_drops", Value::from(f.link_down_drops)),
+                ("device_down_drops", Value::from(f.device_down_drops)),
+            ]);
+            Value::object([
+                ("schema", Value::from(insane_telemetry::SNAPSHOT_SCHEMA)),
+                ("runtime_id", Value::from(u64::from(self.config.runtime_id))),
+                ("host", Value::from(u64::from(self.host.index()))),
+                ("timestamp_ns", Value::from(epoch_ns())),
+                ("telemetry_enabled", Value::Bool(reg.is_some())),
+                (
+                    "sample_every",
+                    Value::from(reg.as_ref().map(|r| r.sample_every).unwrap_or(0)),
+                ),
+                ("counters", self.stats.snapshot().to_json()),
+                ("streams", Value::Array(streams)),
+                ("datapaths", Value::Array(datapaths)),
+                ("pools", Value::Array(pools)),
+                ("tenants", Value::Array(tenants)),
+                ("faults", faults),
+            ])
+            .to_string()
+        }
     }
 
     fn serve_one(inner: &RuntimeInner, stream: UnixStream) {
