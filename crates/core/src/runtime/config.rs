@@ -29,7 +29,7 @@ pub enum ThreadingMode {
     /// and resource consumption").  Technologies not mentioned anywhere
     /// are folded into the first thread.
     Custom(Vec<Vec<Technology>>),
-    /// No threads: the caller drives [`Runtime::poll_once`] explicitly.
+    /// No threads: the caller drives [`crate::Runtime::poll_once`] explicitly.
     /// Used by the single-core benchmark harness, where the serial
     /// critical path is driven inline.
     Manual,
@@ -263,18 +263,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Installs a custom QoS mapping strategy.
-    pub fn with_mapping(mut self, mapping: Arc<dyn MappingStrategy>) -> Self {
-        self.mapping = mapping;
-        self
-    }
-
-    /// Overrides the port base.
-    pub fn with_port_base(mut self, base: u16) -> Self {
-        self.port_base = base;
-        self
-    }
-
     /// Overrides the control-plane retransmission/heartbeat parameters.
     pub fn with_control(mut self, control: ControlPlaneConfig) -> Self {
         self.control = control;
@@ -289,7 +277,7 @@ impl RuntimeConfig {
 
     /// Registers a tenant: its slot quota, admission rate, and
     /// fair-share weight (see [`TenantSpec`]).  May be called once per
-    /// tenant; duplicates are rejected at [`Runtime::start`].
+    /// tenant; duplicates are rejected at [`crate::Runtime::start`].
     pub fn with_tenant(mut self, spec: TenantSpec) -> Self {
         self.tenants.push(spec);
         self

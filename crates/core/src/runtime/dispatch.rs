@@ -264,35 +264,9 @@ impl Dispatcher {
         })
     }
 
-    /// Co-located sinks for a channel (snapshot).
-    #[cfg(test)]
-    pub(crate) fn local_sinks(&self, channel: u32) -> Vec<Arc<SinkShared>> {
-        self.table
-            .load()
-            .local
-            .get(&channel)
-            .map(|v| v.to_vec())
-            .unwrap_or_default()
-    }
-
-    /// Whether any local sink listens on `channel` (cheaper than
-    /// [`Dispatcher::local_sinks`]).
-    #[cfg(test)]
-    pub(crate) fn has_local_sinks(&self, channel: u32) -> bool {
-        self.table.load().local.contains_key(&channel)
-    }
-
     /// All channels with local sinks (for subscription re-announcement).
     pub(crate) fn local_channels(&self) -> Vec<u32> {
         self.table.load().local.keys().copied().collect()
-    }
-
-    /// Hosts of remote runtimes subscribed to `channel`.
-    #[cfg(test)]
-    pub(crate) fn remote_targets(&self, channel: u32) -> Vec<(HostId, TechMask)> {
-        let mut out = Vec::new();
-        self.table.load().remote_targets_into(channel, &mut out);
-        out
     }
 
     /// Records a peer; returns true if it was unknown.
@@ -359,6 +333,20 @@ mod tests {
     use parking_lot::{Condvar, Mutex};
     use std::sync::atomic::AtomicU64;
 
+    /// Remote targets of `channel`, read the way the engine reads them.
+    fn remote_targets(d: &Dispatcher, channel: u32) -> Vec<(HostId, TechMask)> {
+        let mut out = Vec::new();
+        d.snapshot().remote_targets_into(channel, &mut out);
+        out
+    }
+
+    /// Number of co-located sinks on `channel`, likewise.
+    fn local_sinks(d: &Dispatcher, channel: u32) -> usize {
+        let mut out = Vec::new();
+        d.snapshot().local_sinks_into(channel, &mut out);
+        out.len()
+    }
+
     fn sink(id: u64, channel: u32) -> Arc<SinkShared> {
         Arc::new(SinkShared {
             id,
@@ -413,8 +401,8 @@ mod tests {
         let before = d.version();
         assert_eq!(d.remove_peer(10), Some(HostId::from_index(1)));
         assert!(d.version() > before, "routing caches must invalidate");
-        assert_eq!(d.remote_targets(5), vec![(HostId::from_index(2), 0xF)]);
-        assert!(d.remote_targets(6).is_empty());
+        assert_eq!(remote_targets(&d, 5), vec![(HostId::from_index(2), 0xF)]);
+        assert!(remote_targets(&d, 6).is_empty());
         assert_eq!(d.remove_peer(10), None, "already gone");
         assert_eq!(d.peers().len(), 1);
     }
@@ -438,10 +426,10 @@ mod tests {
         let d = Dispatcher::default();
         assert!(d.add_sink(sink(1, 7)), "first sink on the channel");
         assert!(!d.add_sink(sink(2, 7)), "second sink is not first");
-        assert_eq!(d.local_sinks(7).len(), 2);
+        assert_eq!(local_sinks(&d, 7), 2);
         assert!(!d.remove_sink(1, 7), "one sink remains");
         assert!(d.remove_sink(2, 7), "channel now empty");
-        assert!(!d.has_local_sinks(7));
+        assert_eq!(local_sinks(&d, 7), 0);
     }
 
     #[test]
@@ -451,23 +439,23 @@ mod tests {
         d.add_peer(11, HostId::from_index(2), 0xF);
         d.subscribe_remote(5, 10);
         d.subscribe_remote(5, 11);
-        let mut targets = d.remote_targets(5);
+        let mut targets = remote_targets(&d, 5);
         targets.sort();
         assert_eq!(
             targets,
             vec![(HostId::from_index(1), 0xF), (HostId::from_index(2), 0xF)]
         );
         d.unsubscribe_remote(5, 10);
-        assert_eq!(d.remote_targets(5), vec![(HostId::from_index(2), 0xF)]);
+        assert_eq!(remote_targets(&d, 5), vec![(HostId::from_index(2), 0xF)]);
         d.unsubscribe_remote(5, 11);
-        assert!(d.remote_targets(5).is_empty());
+        assert!(remote_targets(&d, 5).is_empty());
     }
 
     #[test]
     fn unknown_peer_subscriptions_resolve_to_nothing() {
         let d = Dispatcher::default();
         d.subscribe_remote(5, 99);
-        assert!(d.remote_targets(5).is_empty(), "no host for runtime 99");
+        assert!(remote_targets(&d, 5).is_empty(), "no host for runtime 99");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use insane_netstack::insane_hdr::{InsaneHeader, MessageKind};
 use insane_tsn::{Scheduler, TrafficClass};
 use parking_lot::Mutex;
 
-use crate::runtime::dispatch::{mask_supports, RoutingTable};
+use crate::runtime::dispatch::{mask_supports, RoutingTable, TechMask};
 use crate::runtime::internals::{
     Delivery, OutcomeBoard, PayloadStore, SinkShared, StreamShared, TxRequest,
 };
@@ -22,7 +22,7 @@ use crate::runtime::tunables::Tunables;
 use crate::runtime::{shard, RuntimeInner};
 use crate::stats::MessageMeta;
 use crate::tenant_drr::Tenanted;
-use crate::{epoch_ns, PAYLOAD_OFFSET};
+use crate::{epoch_ns, InsaneError, INSANE_HDR_OFFSET, PAYLOAD_OFFSET};
 
 /// Modeled per-hop IPC costs of the runtime (nanoseconds).
 ///
@@ -53,7 +53,7 @@ impl HopCosts {
     }
 }
 
-pub(crate) type BoxedScheduler = Box<dyn Scheduler<OutboundBundle> + Send>;
+pub(super) type BoxedScheduler = Box<dyn Scheduler<OutboundBundle> + Send>;
 
 /// Framed copies of one message, one per remote destination.  The
 /// overwhelmingly common case is a single subscriber, which must not
@@ -64,15 +64,26 @@ enum WireMsgs {
     Many(Vec<WireMsg>),
 }
 
+impl WireMsgs {
+    fn as_mut_slice(&mut self) -> &mut [WireMsg] {
+        match self {
+            WireMsgs::One(msg) => std::slice::from_mut(msg),
+            WireMsgs::Many(msgs) => msgs,
+        }
+    }
+}
+
 /// A scheduled unit: one emitted message fanned out to its remote
 /// destinations.
 #[derive(Debug)]
-pub(crate) struct OutboundBundle {
+pub(super) struct OutboundBundle {
     msgs: WireMsgs,
     outcome: Arc<OutcomeBoard>,
     seq: u64,
     /// Emitting tenant, the key of the cross-tenant fair scheduler.
     tenant: TenantId,
+    /// Class it is (or, once handed off, will be) scheduled in.
+    class: TrafficClass,
 }
 
 impl Tenanted for OutboundBundle {
@@ -82,12 +93,9 @@ impl Tenanted for OutboundBundle {
 }
 
 /// Per-shard scratch buffers reused across polling iterations so the
-/// hot path never allocates.  Polling threads own a private `Scratch`
-/// outright (no lock anywhere on the threaded hot path); each shard
-/// also stores one behind a mutex for the manual-drive entry points,
-/// where the lock doubles as the serializer for concurrent callers.
+/// hot path never allocates.
 #[derive(Debug, Default)]
-pub(crate) struct Scratch {
+struct Scratch {
     streams: Vec<Arc<StreamShared>>,
     streams_version: u64,
     /// Rotating TX drain start position (anti-starvation): the stream
@@ -98,7 +106,7 @@ pub(crate) struct Scratch {
     ready: Vec<OutboundBundle>,
     inbound: Vec<InboundMsg>,
     sinks: Vec<Arc<SinkShared>>,
-    remotes: Vec<(HostId, crate::runtime::dispatch::TechMask)>,
+    remotes: Vec<(HostId, TechMask)>,
     wire: Vec<WireMsg>,
     /// This shard's view of the routing state, refreshed from the
     /// dispatcher's snapshot cell once per polling iteration (a single
@@ -125,31 +133,53 @@ pub(crate) struct Scratch {
     boards: Vec<(Arc<OutcomeBoard>, u64)>,
 }
 
-impl Scratch {
-    /// A scratch whose stream snapshot is invalid, forcing a rebuild on
-    /// first use.
-    pub(super) fn fresh() -> Self {
-        Scratch {
-            streams_version: u64::MAX,
-            ..Scratch::default()
-        }
-    }
+/// What whoever drives a shard owns for the length of that drive: the
+/// shard's packet scheduler and its scratch area.
+pub(super) struct ShardState {
+    scheduler: BoxedScheduler,
+    scratch: Scratch,
 }
 
-/// Per-shard state of one datapath (DESIGN.md §9): its own packet
-/// scheduler, a stored scratch area for the manual-drive entry points,
-/// and — when the datapath runs more than one shard — an inbox carrying
-/// the inbound messages of the channels this shard owns.
-pub(crate) struct DatapathShard {
-    pub(crate) scheduler: Mutex<BoxedScheduler>,
-    pub(super) scratch: Mutex<Scratch>,
-    pub(super) rx_inbox: Mutex<VecDeque<InboundMsg>>,
+/// One shard of one datapath (DESIGN.md §9).  A drive entry point
+/// ([`RuntimeInner::drive_shard`]) locks `state` once and hands it down
+/// as `&mut`; nothing below a drive locks it again.  The only other
+/// cross-thread touch points are the two leaf inboxes, whose locks
+/// guard O(burst) handoffs and never nest.
+pub(super) struct DatapathShard {
+    state: Mutex<ShardState>,
+    /// Inbound messages of the channels this shard owns, fanned out by
+    /// whichever shard polled the device (sharded datapaths only).
+    rx_inbox: Mutex<VecDeque<InboundMsg>>,
+    /// Kernel-UDP shards only: bundles that shard `s` of an accelerated
+    /// datapath hands to shard `s` here — peers lacking the stream's
+    /// technology, and everything while that datapath is down.  FIFO,
+    /// adopted into this shard's scheduler before its own dequeue.
+    tx_inbox: Mutex<VecDeque<OutboundBundle>>,
     /// Current burst budget of this shard's adaptive controller: grows
     /// toward `Tunables::burst_max` while bursts fill, decays toward
     /// `Tunables::burst_min` while the shard idles.  Plain Relaxed
     /// loads/stores — the only writer is the shard's own poller (plus
     /// the cold reload clamp), and staleness costs one iteration.
-    pub(crate) burst: AtomicUsize,
+    burst: AtomicUsize,
+}
+
+impl DatapathShard {
+    pub(super) fn new(scheduler: BoxedScheduler, burst: usize) -> Self {
+        DatapathShard {
+            state: Mutex::new(ShardState {
+                scheduler,
+                // An invalid stream-snapshot version forces a rebuild
+                // on first use.
+                scratch: Scratch {
+                    streams_version: u64::MAX,
+                    ..Scratch::default()
+                },
+            }),
+            rx_inbox: Mutex::new(VecDeque::new()),
+            tx_inbox: Mutex::new(VecDeque::new()),
+            burst: AtomicUsize::new(burst),
+        }
+    }
 }
 
 /// Iterations between liveness checks in `polling_loop`.  Shutdown via
@@ -159,12 +189,10 @@ pub(crate) struct DatapathShard {
 const LIVENESS_CHECK_EVERY: u32 = 1024;
 
 pub(super) fn polling_loop(inner: Arc<RuntimeInner>, datapaths: Vec<(usize, usize)>) {
-    // One private scratch per assigned shard: the threaded hot path
-    // owns its buffers outright and never takes a scratch lock.  (The
-    // per-shard stored scratch is only for manual drives, which do not
-    // run concurrently with polling threads.)
-    let mut scratches: Vec<Scratch> = datapaths.iter().map(|_| Scratch::fresh()).collect();
     let mut idle_streak = 0u32;
+    // Idle thresholds, refreshed from the hot-reloadable snapshot on
+    // idle iterations only.
+    let mut tun = inner.tunables.load();
     // This loop used to hold only a `Weak` and upgrade it every
     // iteration — two contended refcount RMWs on the hottest loop in
     // the system.  A strong handle is held instead.  Liveness (did the
@@ -189,17 +217,15 @@ pub(super) fn polling_loop(inner: Arc<RuntimeInner>, datapaths: Vec<(usize, usiz
             }
         }
         let mut did = false;
-        for (slot, &(idx, shard)) in datapaths.iter().enumerate() {
-            did |= inner.poll_datapath_shard(idx, shard, &mut scratches[slot]);
+        for &(idx, shard) in &datapaths {
+            did |= inner.drive_shard(idx, shard, false);
         }
         if did {
             idle_streak = 0;
         } else {
             idle_streak += 1;
             // §5.3: polling threads are automatically paused when idle.
-            // Thresholds come from the hot-reloadable tunables snapshot
-            // the first assigned shard refreshed this iteration.
-            let tun = &scratches[0].tunables;
+            inner.tunables.refresh(&mut tun);
             if idle_streak > tun.idle_sleep_after {
                 // Sleeps slow the iteration rate ~100×; advance the
                 // liveness clock accordingly so an idle, dropped
@@ -214,28 +240,72 @@ pub(super) fn polling_loop(inner: Arc<RuntimeInner>, datapaths: Vec<(usize, usiz
 }
 
 impl RuntimeInner {
-    /// The transmit half of one datapath iteration across all its
-    /// shards (used by [`Runtime::poll_transmit`]).
-    pub(crate) fn poll_datapath_tx(&self, idx: usize) -> bool {
+    /// The drive entry point: one polling iteration of one shard — or,
+    /// with `tx_only`, just its transmit half — under the shard's one
+    /// lock, which also serializes concurrent manual callers.
+    pub(super) fn drive_shard(&self, idx: usize, shard: usize, tx_only: bool) -> bool {
+        let mut st = self.shards[idx][shard].state.lock();
+        if tx_only {
+            self.poll_shard_tx(idx, shard, &mut st)
+        } else {
+            self.poll_datapath_shard(idx, shard, &mut st)
+        }
+    }
+
+    /// [`RuntimeInner::drive_shard`] over every shard of one datapath,
+    /// in turn (the manual-drive path).
+    pub(super) fn drive_datapath(&self, idx: usize, tx_only: bool) -> bool {
         let mut did = false;
         for shard in 0..self.shards[idx].len() {
-            let mut scratch = self.shards[idx][shard].scratch.lock();
-            did |= self.poll_tx_inner(idx, shard, &mut scratch);
+            did |= self.drive_shard(idx, shard, tx_only);
         }
         did
     }
 
-    /// One polling iteration of one datapath: every shard in turn, each
-    /// using its stored scratch.  This is the manual-drive path; the
-    /// per-shard scratch mutex doubles as the serializer for concurrent
-    /// manual callers (polling threads use private scratches instead).
-    pub(crate) fn poll_datapath(&self, idx: usize) -> bool {
-        let mut did = false;
-        for shard in 0..self.shards[idx].len() {
-            let mut scratch = self.shards[idx][shard].scratch.lock();
-            did |= self.poll_datapath_shard(idx, shard, &mut scratch);
+    /// Queued bundles (scheduler plus handoff inbox) and current burst
+    /// budget of one shard, for the introspection snapshot.
+    pub(crate) fn shard_gauges(&self, idx: usize, shard: usize) -> (u64, u64) {
+        let sh = &self.shards[idx][shard];
+        let queued = sh.state.lock().scheduler.len() + sh.tx_inbox.lock().len();
+        (queued as u64, sh.burst.load(Ordering::Relaxed) as u64)
+    }
+
+    /// Validates and publishes new tunables, then clamps every shard's
+    /// live burst budget into the new bounds (the adaptive controller
+    /// only moves by grow/shrink steps, so a budget stranded outside
+    /// the new range under steady partial load would never re-enter it
+    /// on its own).
+    // insane-lint: cold-path -- control-plane reload, not steady state
+    pub(crate) fn reload_tunables(&self, tunables: Tunables) -> Result<(), InsaneError> {
+        let rejected = |e: &dyn std::fmt::Display| {
+            InsaneError::InvalidConfig(format!("tunables rejected: {e}"))
+        };
+        tunables.validate().map_err(|e| rejected(&e))?;
+        // Re-arm the time-aware shaper knobs before publishing: the
+        // guard band is validated against each live scheduler's gate
+        // cycle, and a rejection must leave the snapshot unchanged.
+        // (Every shard shares one gate program shape, so the check
+        // either passes or fails uniformly.)
+        if tunables.tas_guard_band_ns.is_some() || tunables.tas_frame_tx_ns.is_some() {
+            let guard = tunables.tas_guard_band_ns.map(Duration::from_nanos);
+            let frame_tx = tunables.tas_frame_tx_ns.map(Duration::from_nanos);
+            for sh in self.shards.iter().flatten() {
+                let mut st = sh.state.lock();
+                st.scheduler
+                    .set_timing(guard, frame_tx)
+                    .map_err(|e| rejected(&e))?;
+            }
         }
-        did
+        let (min, max) = (tunables.burst_min, tunables.burst_max);
+        self.tunables.publish(Arc::new(tunables));
+        for sh in self.shards.iter().flatten() {
+            let _ = sh
+                .burst
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| {
+                    Some(b.clamp(min, max))
+                });
+        }
+        Ok(())
     }
 
     /// One polling iteration of one shard of one datapath: TX drain →
@@ -243,30 +313,25 @@ impl RuntimeInner {
     /// was done.
     ///
     /// Allocation-free on the hot path: all intermediate buffers live
-    /// in the caller's scratch area and are reused across iterations.
+    /// in the shard's scratch area and are reused across iterations.
     // insane-lint: hot-path-root
     // insane-lint: allow-fn(hot-path-panic) -- idx/shard are produced by the spawn loop that sized these arrays
-    pub(crate) fn poll_datapath_shard(
-        &self,
-        idx: usize,
-        shard: usize,
-        scratch: &mut Scratch,
-    ) -> bool {
+    fn poll_datapath_shard(&self, idx: usize, shard: usize, st: &mut ShardState) -> bool {
         // Pick up published control-state snapshots: one atomic load
         // each per iteration, no lock, no RMW (DESIGN.md §12).  A new
         // routing table invalidates the per-channel cache derived from
         // the previous one — without this, a cache entry keyed only on
         // the channel could keep routing messages by a displaced table.
-        if self.dispatcher.refresh(&mut scratch.routing) {
-            scratch.cached_channel = None;
+        if self.dispatcher.refresh(&mut st.scratch.routing) {
+            st.scratch.cached_channel = None;
         }
-        self.tunables.refresh(&mut scratch.tunables);
-        scratch.burst_filled = false;
+        self.tunables.refresh(&mut st.scratch.tunables);
+        st.scratch.burst_filled = false;
 
-        // Health probe: detect datapath up/down transitions and migrate
-        // traffic accordingly (self-healing, §6 of DESIGN.md).  The
-        // compare-exchange makes the transition single-shot even when
-        // several shards observe it concurrently.
+        // Health probe: detect datapath up/down transitions (self-healing,
+        // §6 of DESIGN.md).  The compare-exchange makes the transition
+        // single-shot even when several shards observe it concurrently;
+        // each shard then migrates its own traffic in `poll_shard_tx`.
         let down = self.fabric.device_down(self.health_eps[idx]);
         let mut did = false;
         if self.plugin_down[idx]
@@ -277,7 +342,7 @@ impl RuntimeInner {
             self.note_datapath_transition(idx, down);
         }
 
-        did |= self.poll_tx_inner(idx, shard, scratch);
+        did |= self.poll_shard_tx(idx, shard, st);
 
         // Control-plane upkeep rides on the kernel-UDP datapath's first
         // shard — the same path control messages travel.
@@ -285,7 +350,7 @@ impl RuntimeInner {
             did |= self.control_tick();
         }
 
-        did |= self.poll_rx_inner(idx, shard, scratch, down);
+        did |= self.poll_shard_rx(idx, shard, &mut st.scratch, down);
 
         // Adaptive burst controller: a burst that filled anywhere this
         // iteration doubles the budget toward the ceiling (amortizing
@@ -294,10 +359,10 @@ impl RuntimeInner {
         // stale oversized burst).  Partial work leaves it unchanged.
         let cell = &self.shards[idx][shard].burst;
         let current = cell.load(Ordering::Relaxed);
-        let next = if scratch.burst_filled {
-            (current.saturating_mul(2)).min(scratch.tunables.burst_max)
+        let next = if st.scratch.burst_filled {
+            (current.saturating_mul(2)).min(st.scratch.tunables.burst_max)
         } else if !did {
-            (current / 2).max(scratch.tunables.burst_min)
+            (current / 2).max(st.scratch.tunables.burst_min)
         } else {
             current
         };
@@ -310,125 +375,114 @@ impl RuntimeInner {
 
     /// RX half of one shard's polling iteration: claim the device, fan
     /// inbound messages to their owning shards, then dispatch this
-    /// shard's own inbox (Fig. 4, steps 3-4).
+    /// shard's own (Fig. 4, steps 3-4).  This is the engine's output
+    /// seam: everything a sink receives from the wire leaves through
+    /// [`RuntimeInner::dispatch_inbound`].
     // insane-lint: allow-fn(hot-path-panic) -- idx/shard/owner indices bounded by the spawn-time shard layout
     // insane-lint: allow-fn(hot-path-block) -- rx_claim is try_lock; inbox mutexes guard O(burst) handoffs and are never nested
     // insane-lint: allow-fn(hot-path-alloc) -- inbox deques grow to the burst watermark once, then reuse capacity
-    fn poll_rx_inner(&self, idx: usize, shard: usize, scratch: &mut Scratch, down: bool) -> bool {
+    fn poll_shard_rx(&self, idx: usize, shard: usize, scratch: &mut Scratch, down: bool) -> bool {
         let nshards = self.shards[idx].len();
         let burst = self.shards[idx][shard].burst.load(Ordering::Relaxed);
         let mut did = false;
-
-        // A downed accelerated device cannot receive; kernel UDP keeps
-        // polling so the control plane can observe recovery.
-        let device_pollable = !down || idx == self.udp_idx;
+        scratch.inbound.clear();
 
         // The device is polled by whichever shard claims it first —
         // never concurrently.  Per-channel order is preserved because
         // inbox pushes happen under the claim (in device arrival
         // order), each inbox is FIFO, and only the owning shard
-        // dispatches a channel's messages.
-        if device_pollable {
+        // dispatches a channel's messages.  A downed accelerated device
+        // cannot receive; kernel UDP keeps polling so the control plane
+        // can observe recovery.
+        if !down || idx == self.udp_idx {
             if let Some(_claim) = self.rx_claim[idx].try_lock() {
-                scratch.inbound.clear();
                 self.plugins[idx].poll_rx(&mut scratch.inbound, burst);
                 if !scratch.inbound.is_empty() {
                     did = true;
                     scratch.burst_filled |= scratch.inbound.len() >= burst;
-                    if nshards == 1 {
-                        self.hops.charge_batch(scratch.inbound.len() as u64);
-                    } else {
-                        // Sharded RX adds a real handoff (device poller
-                        // → owner inbox); charge the queue-touch here
-                        // and the per-token costs at dispatch, on the
-                        // owning shard.
-                        self.hops.charge_batch(0);
-                        if scratch.rx_buckets.len() < nshards {
-                            scratch.rx_buckets.resize_with(nshards, Vec::new);
+                    // Sharded RX adds a real handoff (device poller →
+                    // owner inbox): charge the queue touch here and the
+                    // per-token costs at dispatch, on the owning shard.
+                    let polled = scratch.inbound.len() as u64;
+                    self.hops
+                        .charge_batch(if nshards == 1 { polled } else { 0 });
+                    scratch.inbound.retain(|msg| {
+                        let control = msg.hdr.kind == MessageKind::Control;
+                        if control {
+                            self.handle_control(msg);
+                        }
+                        !control
+                    });
+                    self.stats
+                        .rx_messages
+                        .fetch_add(scratch.inbound.len() as u64, Ordering::Relaxed);
+                }
+                if nshards > 1 && !scratch.inbound.is_empty() {
+                    // Bucket by owning shard so each inbox mutex is
+                    // taken once per burst, not once per message.
+                    scratch.rx_buckets.resize_with(nshards, Vec::new);
+                    for msg in scratch.inbound.drain(..) {
+                        let owner = shard::shard_of_channel(msg.hdr.channel, nshards);
+                        scratch.rx_buckets[owner].push(msg);
+                    }
+                    for (owner, bucket) in scratch.rx_buckets.iter_mut().enumerate() {
+                        if !bucket.is_empty() {
+                            let mut inbox = self.shards[idx][owner].rx_inbox.lock();
+                            inbox.extend(bucket.drain(..));
                         }
                     }
-                    let mut inbound = std::mem::take(&mut scratch.inbound);
-                    let mut rx_data = 0u64;
-                    for msg in inbound.drain(..) {
-                        if msg.hdr.kind == MessageKind::Control {
-                            self.handle_control(&msg);
-                            continue;
-                        }
-                        self.stats.rx_messages.fetch_add(1, Ordering::Relaxed);
-                        if nshards == 1 {
-                            rx_data += 1;
-                            self.dispatch_inbound(
-                                msg,
-                                &scratch.routing,
-                                &mut scratch.inbound_sinks,
-                            );
-                        } else {
-                            // Bucket by owning shard; each inbox mutex
-                            // is then taken once per burst below, not
-                            // once per message.
-                            let owner = shard::shard_of_channel(msg.hdr.channel, nshards);
-                            scratch.rx_buckets[owner].push(msg);
-                        }
-                    }
-                    if nshards == 1 {
-                        self.dp_tel[idx][shard].on_rx(rx_data);
-                    } else {
-                        for (owner, bucket) in scratch.rx_buckets.iter_mut().enumerate() {
-                            if bucket.is_empty() {
-                                continue;
-                            }
-                            self.shards[idx][owner]
-                                .rx_inbox
-                                .lock()
-                                .extend(bucket.drain(..));
-                        }
-                    }
-                    scratch.inbound = inbound;
                 }
             }
         }
 
         if nshards > 1 {
-            // Drain this shard's inbox into the scratch buffer (bounded
-            // by the burst) and dispatch outside the inbox lock.
-            scratch.inbound.clear();
-            {
-                let mut inbox = self.shards[idx][shard].rx_inbox.lock();
-                for _ in 0..burst {
-                    match inbox.pop_front() {
-                        Some(msg) => scratch.inbound.push(msg),
-                        None => break,
-                    }
-                }
-            }
+            // This shard's share of the fan-out, bounded by the burst;
+            // dispatch happens outside the inbox lock.
+            let mut inbox = self.shards[idx][shard].rx_inbox.lock();
+            let take = burst.min(inbox.len());
+            scratch.inbound.extend(inbox.drain(..take));
+            drop(inbox);
             if !scratch.inbound.is_empty() {
-                did = true;
                 scratch.burst_filled |= scratch.inbound.len() >= burst;
                 self.hops.charge_batch(scratch.inbound.len() as u64);
-                let mut inbound = std::mem::take(&mut scratch.inbound);
-                let dispatched = inbound.len() as u64;
-                for msg in inbound.drain(..) {
-                    self.dispatch_inbound(msg, &scratch.routing, &mut scratch.inbound_sinks);
-                }
-                self.dp_tel[idx][shard].on_rx(dispatched);
-                scratch.inbound = inbound;
             }
         }
-        did
+
+        let dispatched = scratch.inbound.len() as u64;
+        for msg in scratch.inbound.drain(..) {
+            self.dispatch_inbound(msg, &scratch.routing, &mut scratch.inbound_sinks);
+        }
+        if dispatched > 0 {
+            self.dp_tel[idx][shard].on_rx(dispatched);
+        }
+        did || dispatched > 0
     }
 
-    /// TX drain → schedule → send for one shard of one datapath.
+    /// TX half of one shard's polling iteration: stream drain → schedule
+    /// → send (or, while the datapath is down, divert).  The stream
+    /// drain below is the engine's input seam.
     // insane-lint: allow-fn(hot-path-panic) -- stream index/modulo guarded by nstreams > 0; shard indices bounded at spawn
-    // insane-lint: allow-fn(hot-path-block) -- scheduler mutex is per-shard; contended only by rare divert/control paths
-    pub(super) fn poll_tx_inner(&self, idx: usize, shard: usize, scratch: &mut Scratch) -> bool {
+    fn poll_shard_tx(&self, idx: usize, shard: usize, st: &mut ShardState) -> bool {
         let plugin = &self.plugins[idx];
         let tech = plugin.technology();
         let nshards = self.shards[idx].len();
         let burst = self.shards[idx][shard].burst.load(Ordering::Relaxed);
         let mut did = false;
 
+        // The health flag is sampled once, so one iteration is wholly
+        // native or wholly diverted.  A downed accelerated datapath
+        // sends nothing: what it had scheduled is evacuated *before* new
+        // requests are drained, and those then bypass the scheduler, so
+        // "older before newer" into the fallback is a local property of
+        // this shard.
+        let down = idx != self.udp_idx && self.plugin_down[idx].load(Ordering::Relaxed);
+        if down {
+            did |= self.divert(idx, shard, st);
+        }
+
         // 0. Refresh the stream snapshot only when the registry changed
         //    (filtered down to the streams this shard owns).
+        let scratch = &mut st.scratch;
         let version = self.streams.version();
         if scratch.streams_version != version {
             self.streams
@@ -464,16 +518,11 @@ impl RuntimeInner {
             let now = Instant::now();
             let mut requests = std::mem::take(&mut scratch.requests);
             for req in requests.drain(..) {
-                self.process_tx(idx, shard, req, now, scratch);
+                self.process_tx(idx, shard, req, now, down, st);
             }
-            scratch.requests = requests;
+            st.scratch.requests = requests;
         }
-
-        // A downed accelerated datapath sends nothing; whatever reached
-        // this shard's scheduler (including what step 1 just enqueued)
-        // evacuates to the kernel-UDP fallback instead.
-        if idx != self.udp_idx && self.plugin_down[idx].load(Ordering::Relaxed) {
-            did |= self.divert_shard(idx, shard);
+        if down {
             return did;
         }
 
@@ -483,17 +532,18 @@ impl RuntimeInner {
         //    window can still carry (never below 1, so a fully gated
         //    pass still records its deferrals), and report per-class
         //    deferral counts for telemetry.
-        scratch.ready.clear();
-        let deferred = {
-            let mut sched = self.shards[idx][shard].scheduler.lock();
-            let now = Instant::now();
-            let clamped = match sched.window_budget(now) {
-                Some(budget) => burst.min(budget.max(1)),
-                None => burst,
-            };
-            sched.dequeue_ready(&mut scratch.ready, clamped, now);
-            sched.take_gate_deferrals()
+        let ShardState { scheduler, scratch } = st;
+        let now = Instant::now();
+        if idx == self.udp_idx && self.plugins.len() > 1 {
+            self.adopt_handoffs(shard, scheduler, now);
+        }
+        let clamped = match scheduler.window_budget(now) {
+            Some(budget) => burst.min(budget.max(1)),
+            None => burst,
         };
+        scratch.ready.clear();
+        scheduler.dequeue_ready(&mut scratch.ready, clamped, now);
+        let deferred = scheduler.take_gate_deferrals();
         let deferred_total: u64 = deferred.iter().sum();
         if deferred_total > 0 {
             self.stats
@@ -504,40 +554,35 @@ impl RuntimeInner {
         if !scratch.ready.is_empty() {
             did = true;
             scratch.burst_filled |= scratch.ready.len() >= burst;
-            let mut wire_scratch = std::mem::take(&mut scratch.wire);
-            wire_scratch.clear();
             // Outcome boards are completed through the highest sequence
             // per board; the common case is one message per poll, so a
             // tiny inline scan beats a map.
-            let mut boards_scratch = std::mem::take(&mut scratch.boards);
-            boards_scratch.clear();
+            scratch.wire.clear();
+            scratch.boards.clear();
             for bundle in scratch.ready.drain(..) {
                 match bundle.msgs {
-                    WireMsgs::One(msg) => wire_scratch.push(msg),
-                    WireMsgs::Many(msgs) => wire_scratch.extend(msgs),
+                    WireMsgs::One(msg) => scratch.wire.push(msg),
+                    WireMsgs::Many(msgs) => scratch.wire.extend(msgs),
                 }
-                boards_scratch.push((bundle.outcome, bundle.seq));
+                scratch.boards.push((bundle.outcome, bundle.seq));
             }
-            let wire_count = wire_scratch.len() as u64;
-            let sent = plugin.send_burst(&mut wire_scratch);
-            scratch.wire = wire_scratch;
-            match sent {
+            let wire_count = scratch.wire.len() as u64;
+            match plugin.send_burst(&mut scratch.wire) {
                 Ok(_) => {
                     self.stats
                         .tx_messages
                         .fetch_add(wire_count, Ordering::Relaxed);
                     self.dp_tel[idx][shard].on_tx(wire_count);
-                    for (board, seq) in boards_scratch.drain(..) {
+                    for (board, seq) in scratch.boards.drain(..) {
                         board.complete_through(seq);
                     }
                 }
                 Err(_) => {
-                    for (board, seq) in boards_scratch.drain(..) {
+                    for (board, seq) in scratch.boards.drain(..) {
                         board.fail(seq, "datapath send failure");
                     }
                 }
             }
-            scratch.boards = boards_scratch;
         }
 
         did
@@ -549,13 +594,7 @@ impl RuntimeInner {
     /// when consecutive messages share a channel — the cache is
     /// invalidated whenever `poll_datapath_shard` refreshes the
     /// snapshot, so it can never outlive the table it was built from.
-    ///
-    /// All scheduler enqueues stay on shard `shard` — of this datapath
-    /// or of the kernel-UDP fallback — so everything a stream emits
-    /// (native, fallback, or later diverted) flows through one shard
-    /// per datapath and per-stream order survives every path.
     // insane-lint: allow-fn(hot-path-panic) -- remotes[0] guarded by emptiness/len checks; idx/shard bounded at spawn
-    // insane-lint: allow-fn(hot-path-block) -- scheduler mutex is per-shard; contended only by rare divert/control paths
     // insane-lint: allow-fn(hot-path-alloc) -- multi-destination fan-out allocates per-owner views; the single-remote fast path stays allocation-free
     fn process_tx(
         &self,
@@ -563,8 +602,10 @@ impl RuntimeInner {
         shard: usize,
         req: TxRequest,
         now: Instant,
-        scratch: &mut Scratch,
+        down: bool,
+        st: &mut ShardState,
     ) {
+        let ShardState { scheduler, scratch } = st;
         let plugin = &self.plugins[idx];
         if scratch.cached_channel != Some(req.channel) {
             scratch
@@ -630,60 +671,51 @@ impl RuntimeInner {
             }
         };
 
-        // Peers that lack this stream's technology are reached over the
-        // universal kernel-UDP datapath instead: the INSANE header always
-        // sits at the same slot offset, so the already-framed slot is
-        // transmitted from that offset on (§5.2's best-effort spirit,
-        // applied per destination).
-        let stream_tech = self.plugins[idx].technology();
-        let udp_idx = self.udp_idx;
-        // While this datapath is down, route new traffic straight to the
-        // kernel-UDP fallback (QoS demoted to best effort below).
-        let this_down = idx != udp_idx && self.plugin_down[idx].load(Ordering::Relaxed);
+        // Per-destination route.  A peer that lacks this stream's
+        // technology, and every peer while this datapath is down, is
+        // reached over the universal kernel-UDP datapath instead: the
+        // INSANE header always sits at the same slot offset, so the
+        // already-framed slot is transmitted from that offset on (§5.2's
+        // best-effort spirit, applied per destination).
+        let stream_tech = plugin.technology();
+        let route = |view: SlotView, (dst, peer_mask): (HostId, TechMask)| {
+            let capable = mask_supports(peer_mask, stream_tech);
+            if capable && down {
+                self.stats.failover_messages.fetch_add(1, Ordering::Relaxed);
+            }
+            let native = capable && !down;
+            let start = if native {
+                wire_start
+            } else {
+                INSANE_HDR_OFFSET
+            };
+            let msg = WireMsg {
+                view,
+                wire_start: start,
+                dst,
+            };
+            (native, msg)
+        };
+        // Failover demotes QoS to best effort (native implies `!down`).
+        let class = if down {
+            TrafficClass::BEST_EFFORT
+        } else {
+            req.class
+        };
+        let (seq, tenant) = (req.seq, req.tenant);
+        let bundle = |msgs, outcome| OutboundBundle {
+            msgs,
+            outcome,
+            seq,
+            tenant,
+            class,
+        };
 
         // Fast path: exactly one remote, no co-located sinks.
         if sinks.is_empty() && remotes.len() == 1 {
-            let (dst, peer_mask) = remotes[0];
-            let native = mask_supports(peer_mask, stream_tech) && !this_down;
-            if mask_supports(peer_mask, stream_tech) && this_down {
-                self.stats.failover_messages.fetch_add(1, Ordering::Relaxed);
-            }
-            let (sched_idx, msg, class) = if native {
-                (
-                    idx,
-                    WireMsg {
-                        view: base,
-                        wire_start,
-                        dst,
-                    },
-                    req.class,
-                )
-            } else {
-                (
-                    udp_idx,
-                    WireMsg {
-                        view: base,
-                        wire_start: crate::INSANE_HDR_OFFSET,
-                        dst,
-                    },
-                    if this_down {
-                        TrafficClass::BEST_EFFORT
-                    } else {
-                        req.class
-                    },
-                )
-            };
-            self.dp_tel[sched_idx][shard].on_scheduled(1);
-            self.shards[sched_idx][shard].scheduler.lock().enqueue(
-                OutboundBundle {
-                    msgs: WireMsgs::One(msg),
-                    outcome: req.outcome,
-                    seq: req.seq,
-                    tenant: req.tenant,
-                },
-                class,
-                now,
-            );
+            let (native, msg) = route(base, remotes[0]);
+            let bundle = bundle(WireMsgs::One(msg), req.outcome);
+            self.schedule(idx, shard, scheduler, native, bundle, now);
             return;
         }
 
@@ -736,114 +768,96 @@ impl RuntimeInner {
         // Fan-out consumes the cached remote list; invalidate the cache.
         let mut native: Vec<WireMsg> = Vec::new();
         let mut fallback: Vec<WireMsg> = Vec::new();
-        for (view, (dst, peer_mask)) in views.into_iter().zip(remotes.drain(..)) {
-            if mask_supports(peer_mask, stream_tech) && !this_down {
-                native.push(WireMsg {
-                    view,
-                    wire_start,
-                    dst,
-                });
+        for (view, target) in views.into_iter().zip(remotes.drain(..)) {
+            let (is_native, msg) = route(view, target);
+            if is_native {
+                native.push(msg);
             } else {
-                if mask_supports(peer_mask, stream_tech) {
-                    self.stats.failover_messages.fetch_add(1, Ordering::Relaxed);
-                }
-                fallback.push(WireMsg {
-                    view,
-                    wire_start: crate::INSANE_HDR_OFFSET,
-                    dst,
-                });
+                fallback.push(msg);
             }
         }
         scratch.cached_channel = None;
         if !native.is_empty() {
-            self.dp_tel[idx][shard].on_scheduled(native.len() as u64);
-            self.shards[idx][shard].scheduler.lock().enqueue(
-                OutboundBundle {
-                    msgs: WireMsgs::Many(native),
-                    outcome: Arc::clone(&req.outcome),
-                    seq: req.seq,
-                    tenant: req.tenant,
-                },
-                req.class,
-                now,
-            );
+            let bundle = bundle(WireMsgs::Many(native), Arc::clone(&req.outcome));
+            self.schedule(idx, shard, scheduler, true, bundle, now);
         }
         if !fallback.is_empty() {
-            self.dp_tel[udp_idx][shard].on_scheduled(fallback.len() as u64);
-            self.shards[udp_idx][shard].scheduler.lock().enqueue(
-                OutboundBundle {
-                    msgs: WireMsgs::Many(fallback),
-                    outcome: req.outcome,
-                    seq: req.seq,
-                    tenant: req.tenant,
-                },
-                if this_down {
-                    TrafficClass::BEST_EFFORT
-                } else {
-                    req.class
-                },
-                now,
-            );
+            let bundle = bundle(WireMsgs::Many(fallback), req.outcome);
+            self.schedule(idx, shard, scheduler, false, bundle, now);
         }
     }
 
-    /// Evacuates everything queued on every shard of datapath `idx`
-    /// onto the kernel-UDP fallback (down transitions must not strand
-    /// traffic on any shard).
-    // insane-lint: cold-path -- datapath failover, not steady state
-    fn divert_scheduler(&self, idx: usize) -> bool {
-        let mut did = false;
-        for shard in 0..self.shards[idx].len() {
-            did |= self.divert_shard(idx, shard);
+    /// The one enqueue routine.  A native bundle goes into the driving
+    /// shard's own scheduler (`own`); anything else is handed to the
+    /// *same shard index* of the kernel-UDP datapath through its TX
+    /// inbox.  Everything a stream emits — native, fallback, or later
+    /// diverted — therefore flows through one shard per datapath, in
+    /// the order this shard processed it, and per-stream order survives
+    /// every path.
+    // insane-lint: allow-fn(hot-path-panic) -- udp_idx/shard index the spawn-time shard layout, uniform across datapaths
+    // insane-lint: allow-fn(hot-path-block) -- leaf inbox mutex: one push under it, never nested
+    // insane-lint: allow-fn(hot-path-alloc) -- the inbox deque grows to its watermark once, then reuses capacity
+    fn schedule(
+        &self,
+        idx: usize,
+        shard: usize,
+        own: &mut BoxedScheduler,
+        native: bool,
+        mut bundle: OutboundBundle,
+        now: Instant,
+    ) {
+        let sched_idx = if native { idx } else { self.udp_idx };
+        self.dp_tel[sched_idx][shard].on_scheduled(bundle.msgs.as_mut_slice().len() as u64);
+        if sched_idx == idx {
+            let class = bundle.class;
+            own.enqueue(bundle, class, now);
+        } else {
+            let mut inbox = self.shards[sched_idx][shard].tx_inbox.lock();
+            inbox.push_back(bundle);
         }
-        did
     }
 
-    /// Evacuates one shard's scheduler onto the *same shard* of the
+    /// Kernel-UDP side of the TX handoff: moves what sibling datapaths'
+    /// shards handed over into this shard's scheduler, in handoff order.
+    // insane-lint: allow-fn(hot-path-panic) -- udp_idx/shard index the spawn-time shard layout
+    // insane-lint: allow-fn(hot-path-block) -- leaf inbox mutex: an O(handoffs) drain under it, never nested
+    fn adopt_handoffs(&self, shard: usize, own: &mut BoxedScheduler, now: Instant) {
+        let mut inbox = self.shards[self.udp_idx][shard].tx_inbox.lock();
+        for bundle in inbox.drain(..) {
+            let class = bundle.class;
+            own.enqueue(bundle, class, now);
+        }
+    }
+
+    /// Evacuates this shard's scheduler onto the *same shard* of the
     /// kernel-UDP fallback: wire offsets are rewritten to the
     /// technology-neutral INSANE header and QoS is demoted to best
     /// effort (the fallback honours delivery, not the original class
-    /// guarantees).  Shard-preserving evacuation keeps diverted
-    /// messages ordered with the stream's later fallback traffic,
-    /// which `process_tx` also pins to the stream's shard.
+    /// guarantees).  A closed gate must not hold packets hostage on a
+    /// device that will never transmit again, hence `drain_all`.
     // insane-lint: cold-path -- datapath failover, not steady state
-    fn divert_shard(&self, idx: usize, shard: usize) -> bool {
-        let mut evacuated: Vec<OutboundBundle> = Vec::new();
-        self.shards[idx][shard]
-            .scheduler
-            .lock()
-            .drain_all(&mut evacuated);
-        if evacuated.is_empty() {
-            return false;
-        }
+    fn divert(&self, idx: usize, shard: usize, st: &mut ShardState) -> bool {
+        let ShardState { scheduler, scratch } = st;
+        scratch.ready.clear();
+        scheduler.drain_all(&mut scratch.ready);
         let now = Instant::now();
         let mut diverted = 0u64;
-        let mut udp = self.shards[self.udp_idx][shard].scheduler.lock();
-        for mut bundle in evacuated {
-            match &mut bundle.msgs {
-                WireMsgs::One(msg) => {
-                    msg.wire_start = crate::INSANE_HDR_OFFSET;
-                    diverted += 1;
-                }
-                WireMsgs::Many(msgs) => {
-                    for msg in msgs.iter_mut() {
-                        msg.wire_start = crate::INSANE_HDR_OFFSET;
-                    }
-                    diverted += msgs.len() as u64;
-                }
+        for mut bundle in scratch.ready.drain(..) {
+            for msg in bundle.msgs.as_mut_slice() {
+                msg.wire_start = INSANE_HDR_OFFSET;
+                diverted += 1;
             }
-            udp.enqueue(bundle, TrafficClass::BEST_EFFORT, now);
+            bundle.class = TrafficClass::BEST_EFFORT;
+            self.schedule(idx, shard, scheduler, false, bundle, now);
         }
-        drop(udp);
         self.stats
             .failover_messages
             .fetch_add(diverted, Ordering::Relaxed);
-        self.dp_tel[self.udp_idx][shard].on_scheduled(diverted);
-        true
+        diverted > 0
     }
 
-    /// Reacts to a datapath health transition: warn, count, and (on the
-    /// way down) evacuate the queued traffic to the kernel-UDP fallback.
+    /// Reacts to a datapath health transition: warn and count.  The
+    /// traffic itself is migrated by each shard's own `poll_shard_tx`.
     // insane-lint: cold-path -- single-shot up/down transition handler
     fn note_datapath_transition(&self, idx: usize, down: bool) {
         let tech = self.plugins[idx].technology();
@@ -863,7 +877,6 @@ impl RuntimeInner {
                 "host {:?}: {tech:?} datapath down — failing over to kernel UDP (QoS demoted to best effort)",
                 self.host
             ));
-            self.divert_scheduler(idx);
         } else {
             self.stats.failback_events.fetch_add(1, Ordering::Relaxed);
             crate::warn(&format!(

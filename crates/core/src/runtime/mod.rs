@@ -19,10 +19,9 @@ pub mod tunables;
 
 pub use config::{ControlPlaneConfig, RuntimeConfig, SchedulerChoice, TenantSpec, ThreadingMode};
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use insane_fabric::{Endpoint, Fabric, HostId, Technology};
 use insane_memory::{PoolSet, PoolSetBuilder, TenantId};
@@ -34,7 +33,7 @@ use crate::admission::{AdmissionController, TenantRate};
 use crate::qos::{MappedPath, QosPolicy};
 use crate::runtime::control::ControlPlane;
 use crate::runtime::dispatch::{ControlOp, Dispatcher};
-use crate::runtime::engine::{polling_loop, BoxedScheduler, DatapathShard, HopCosts, Scratch};
+use crate::runtime::engine::{polling_loop, BoxedScheduler, DatapathShard, HopCosts};
 use crate::runtime::internals::{StreamRegistry, StreamShared};
 use crate::runtime::plugins::{
     tech_port_offset, DatapathPlugin, DpdkPlugin, RdmaPlugin, UdpPlugin, XdpPlugin,
@@ -46,19 +45,19 @@ use crate::tenant_drr::TenantDrr;
 use crate::{InsaneError, PAYLOAD_OFFSET};
 
 pub(crate) struct RuntimeInner {
-    pub(crate) config: RuntimeConfig,
+    config: RuntimeConfig,
     pub(crate) fabric: Fabric,
     pub(crate) host: HostId,
-    pub(crate) pools: PoolSet,
+    pools: PoolSet,
     /// Per-tenant token-bucket admission (inert with no tenants).
-    pub(crate) admission: AdmissionController,
+    admission: AdmissionController,
     pub(crate) plugins: Vec<Arc<dyn DatapathPlugin>>,
     /// Per-datapath shard states, `shards[datapath][shard]`.  Every
     /// datapath runs the same shard count
     /// (`config.shards_per_datapath`), so a shard index is valid across
     /// datapaths — failover moves shard `s` of a downed datapath onto
     /// shard `s` of kernel UDP, preserving per-stream order.
-    pub(crate) shards: Vec<Vec<DatapathShard>>,
+    shards: Vec<Vec<DatapathShard>>,
     /// Per-datapath device-RX claim: whichever shard acquires it polls
     /// the device and fans inbound messages to the owning shards'
     /// inboxes, so the device is never polled concurrently.
@@ -67,7 +66,7 @@ pub(crate) struct RuntimeInner {
     pub(crate) dispatcher: Dispatcher,
     /// Hot-reloadable pacing knobs, published as a snapshot so the
     /// polling shards read them lock-free (DESIGN.md §12).
-    tunables: SnapshotCell<Tunables>,
+    pub(crate) tunables: SnapshotCell<Tunables>,
     pub(crate) stats: Arc<RuntimeStats>,
     stop: AtomicBool,
     started: AtomicBool,
@@ -189,12 +188,10 @@ impl Runtime {
         for _ in &plugins {
             let mut dp_shards = Vec::with_capacity(nshards);
             for _ in 0..nshards {
-                dp_shards.push(DatapathShard {
-                    scheduler: Mutex::new(Self::build_scheduler(&config)?),
-                    scratch: Mutex::new(Scratch::fresh()),
-                    rx_inbox: Mutex::new(VecDeque::new()),
-                    burst: AtomicUsize::new(config.burst.max(1)),
-                });
+                dp_shards.push(DatapathShard::new(
+                    Self::build_scheduler(&config)?,
+                    config.burst.max(1),
+                ));
             }
             shards.push(dp_shards);
         }
@@ -424,7 +421,7 @@ impl Runtime {
     /// the measurement.
     pub fn poll_technology(&self, tech: Technology) -> bool {
         match self.inner.plugin_index(tech) {
-            Some(idx) => self.inner.poll_datapath(idx),
+            Some(idx) => self.inner.drive_datapath(idx, false),
             None => false,
         }
     }
@@ -435,9 +432,8 @@ impl Runtime {
     /// or an out-of-range shard.
     pub fn poll_technology_shard(&self, tech: Technology, shard: usize) -> bool {
         match self.inner.plugin_index(tech) {
-            Some(idx) if shard < self.inner.shards[idx].len() => {
-                let mut scratch = self.inner.shards[idx][shard].scratch.lock();
-                self.inner.poll_datapath_shard(idx, shard, &mut scratch)
+            Some(idx) if shard < self.inner.config.shards_per_datapath => {
+                self.inner.drive_shard(idx, shard, false)
             }
             _ => false,
         }
@@ -475,20 +471,8 @@ impl Runtime {
     /// polling thread performs concurrently, off the critical path.
     pub fn poll_transmit(&self, tech: Technology) -> bool {
         match self.inner.plugin_index(tech) {
-            Some(idx) => self.inner.poll_datapath_tx(idx),
+            Some(idx) => self.inner.drive_datapath(idx, true),
             None => false,
-        }
-    }
-
-    /// The transmit half of a single shard's polling iteration (see
-    /// [`Runtime::poll_transmit`]).
-    pub fn poll_transmit_shard(&self, tech: Technology, shard: usize) -> bool {
-        match self.inner.plugin_index(tech) {
-            Some(idx) if shard < self.inner.shards[idx].len() => {
-                let mut scratch = self.inner.shards[idx][shard].scratch.lock();
-                self.inner.poll_tx_inner(idx, shard, &mut scratch)
-            }
-            _ => false,
         }
     }
 
@@ -497,7 +481,7 @@ impl Runtime {
     pub fn poll_once(&self) -> bool {
         let mut did = false;
         for idx in 0..self.inner.plugins.len() {
-            did |= self.inner.poll_datapath(idx);
+            did |= self.inner.drive_datapath(idx, false);
         }
         if !did {
             self.inner.stats.idle_polls.fetch_add(1, Ordering::Relaxed);
@@ -602,77 +586,6 @@ impl RuntimeInner {
 
     pub(crate) fn is_started(&self) -> bool {
         self.started.load(Ordering::Acquire)
-    }
-
-    /// Validates and publishes new tunables, then clamps every shard's
-    /// live burst budget into the new bounds (the adaptive controller
-    /// only moves by grow/shrink steps, so a budget stranded outside
-    /// the new range under steady partial load would never re-enter it
-    /// on its own).
-    // insane-lint: cold-path -- control-plane reload, not steady state
-    pub(crate) fn reload_tunables(&self, tunables: Tunables) -> Result<(), InsaneError> {
-        tunables
-            .validate()
-            .map_err(|e| InsaneError::InvalidConfig(format!("tunables rejected: {e}")))?;
-        // Re-arm the time-aware shaper knobs before publishing: the
-        // guard band is validated against each live scheduler's gate
-        // cycle, and a rejection must leave the snapshot unchanged.
-        // (Every shard shares one gate program shape, so the check
-        // either passes or fails uniformly.)
-        if tunables.tas_guard_band_ns.is_some() || tunables.tas_frame_tx_ns.is_some() {
-            let guard = tunables.tas_guard_band_ns.map(Duration::from_nanos);
-            let frame_tx = tunables.tas_frame_tx_ns.map(Duration::from_nanos);
-            for dp in &self.shards {
-                for sh in dp {
-                    sh.scheduler
-                        .lock()
-                        .set_timing(guard, frame_tx)
-                        .map_err(|e| {
-                            InsaneError::InvalidConfig(format!("tunables rejected: {e}"))
-                        })?;
-                }
-            }
-        }
-        let (min, max) = (tunables.burst_min, tunables.burst_max);
-        self.tunables.publish(Arc::new(tunables));
-        for dp in &self.shards {
-            for sh in dp {
-                let current = sh.burst.load(Ordering::Relaxed);
-                let clamped = current.clamp(min, max);
-                if clamped != current {
-                    sh.burst.store(clamped, Ordering::Relaxed);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Applies an introspection-endpoint `reload` request: each
-    /// argument is one `key=value` assignment against the current
-    /// tunables snapshot; the batch publishes atomically or not at all.
-    /// Returns a human-readable summary of the published snapshot.
-    // insane-lint: cold-path -- control-plane reload, not steady state
-    pub(crate) fn reload_from_kv(&self, pairs: &str) -> Result<String, String> {
-        let mut next = (*self.tunables.load()).clone();
-        let mut applied = 0u32;
-        for pair in pairs.split_whitespace() {
-            let (key, value) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got {pair:?}"))?;
-            next.apply_kv(key, value)?;
-            applied += 1;
-        }
-        if applied == 0 {
-            return Err("reload requires at least one key=value argument".into());
-        }
-        let fmt_opt = |v: Option<u64>| v.map_or_else(|| "-".into(), |n| n.to_string());
-        let summary = format!(
-            "reloaded {applied} tunable(s): burst_min={} burst_max={} idle_yield_after={} idle_sleep_after={} idle_sleep_us={} tas_guard_band_ns={} tas_frame_tx_ns={}",
-            next.burst_min, next.burst_max, next.idle_yield_after, next.idle_sleep_after, next.idle_sleep_us,
-            fmt_opt(next.tas_guard_band_ns), fmt_opt(next.tas_frame_tx_ns)
-        );
-        self.reload_tunables(next).map_err(|e| e.to_string())?;
-        Ok(summary)
     }
 
     fn plugin_index(&self, tech: Technology) -> Option<usize> {

@@ -100,17 +100,74 @@ fn parse_insane(bytes: &[u8], at: usize) -> Option<InsaneHeader> {
     InsaneHeader::parse(bytes.get(at..)?).ok()
 }
 
-fn store_of(payload: Payload) -> (PayloadStore, usize) {
-    match payload {
-        Payload::Pooled(view) => {
-            let len = view.len();
-            (PayloadStore::View(Arc::new(view)), len)
-        }
-        Payload::Inline(bytes) => {
-            let len = bytes.len();
-            (PayloadStore::Shared(Arc::from(bytes)), len)
-        }
+/// Datagram semantics, stated once for every plugin's `send_burst`: an
+/// unreachable destination is a silent drop (nothing accepted); any
+/// other device error aborts the burst.
+fn accepted(result: Result<usize, FabricError>) -> Result<usize, InsaneError> {
+    match result {
+        Err(FabricError::Unreachable(_)) => Ok(0),
+        other => Ok(other?),
     }
+}
+
+fn store_of(payload: Payload) -> PayloadStore {
+    match payload {
+        Payload::Pooled(view) => PayloadStore::View(Arc::new(view)),
+        Payload::Inline(bytes) => PayloadStore::Shared(Arc::from(bytes)),
+    }
+}
+
+/// TX body of the Ethernet-framed plugins (DPDK, XDP) — the packet
+/// processing engine: userspace Ethernet/IPv4/UDP framing around
+/// `[InsaneHeader][payload]`, all in place.  Sealing precedes the
+/// transport framing so the UDP checksum covers the sealed INSANE bytes.
+fn frame_ethernet(
+    slot: &mut [u8],
+    hdr: &InsaneHeader,
+    payload_len: usize,
+    (src, dst): (HostId, HostId),
+    udp_port: u16,
+) -> Result<usize, InsaneError> {
+    hdr.write(&mut slot[INSANE_HDR_OFFSET..])?;
+    seal(&mut slot[INSANE_HDR_OFFSET..PAYLOAD_OFFSET + payload_len])?;
+    PacketBuilder::new()
+        .src_mac(MacAddr::from_host_index(src.index()))
+        .dst_mac(MacAddr::from_host_index(dst.index()))
+        .src(Ipv4Header::addr_for_host(src.index()), udp_port)
+        .dst(Ipv4Header::addr_for_host(dst.index()), udp_port)
+        .finish_in_place(slot, insane_netstack::insane_hdr::HEADER_LEN + payload_len)?;
+    Ok(0)
+}
+
+/// RX body of the Ethernet-framed plugins: validates the full frame
+/// through the userspace stack, then the INSANE checksum behind the 42
+/// transport bytes; appends the message to `out` and returns true, or
+/// counts a rejection.
+fn accept_ethernet(
+    out: &mut Vec<InboundMsg>,
+    stats: &RuntimeStats,
+    payload: Payload,
+    wire_ns: u64,
+    received_ns: u64,
+) -> bool {
+    let store = store_of(payload);
+    let parsed = PacketView::parse(store.bytes())
+        .ok()
+        .map(|view| view.payload())
+        .filter(|insane| checksum_ok(insane))
+        .and_then(|insane| InsaneHeader::parse(insane).ok());
+    let Some(hdr) = parsed else {
+        stats.rx_rejected.fetch_add(1, Ordering::Relaxed);
+        return false;
+    };
+    out.push(InboundMsg {
+        store,
+        hdr,
+        payload_offset: PAYLOAD_OFFSET,
+        wire_ns,
+        received_ns,
+    });
+    true
 }
 
 // ---------------------------------------------------------------------
@@ -179,11 +236,8 @@ impl DatapathPlugin for UdpPlugin {
                 host: msg.dst,
                 port: self.port,
             };
-            match self.socket.send_to(&msg.view[msg.wire_start..], dst) {
-                Ok(()) => sent += 1,
-                Err(FabricError::Unreachable(_)) => {}
-                Err(e) => return Err(e.into()),
-            }
+            let result = self.socket.send_to(&msg.view[msg.wire_start..], dst);
+            sent += accepted(result.map(|()| 1))?;
         }
         Ok(sent)
     }
@@ -254,14 +308,6 @@ impl DpdkPlugin {
             stats,
         })
     }
-
-    fn builder(&self, dst: HostId) -> PacketBuilder {
-        PacketBuilder::new()
-            .src_mac(MacAddr::from_host_index(self.host.index()))
-            .dst_mac(MacAddr::from_host_index(dst.index()))
-            .src(Ipv4Header::addr_for_host(self.host.index()), self.udp_port)
-            .dst(Ipv4Header::addr_for_host(dst.index()), self.udp_port)
-    }
 }
 
 impl DatapathPlugin for DpdkPlugin {
@@ -280,15 +326,7 @@ impl DatapathPlugin for DpdkPlugin {
         payload_len: usize,
         dst: HostId,
     ) -> Result<usize, InsaneError> {
-        // The packet processing engine: userspace Ethernet/IPv4/UDP
-        // framing around [InsaneHeader][payload], all in place.  Sealing
-        // precedes the transport framing so the UDP checksum covers the
-        // sealed INSANE bytes.
-        hdr.write(&mut slot[INSANE_HDR_OFFSET..])?;
-        seal(&mut slot[INSANE_HDR_OFFSET..PAYLOAD_OFFSET + payload_len])?;
-        self.builder(dst)
-            .finish_in_place(slot, insane_netstack::insane_hdr::HEADER_LEN + payload_len)?;
-        Ok(0)
+        frame_ethernet(slot, hdr, payload_len, (self.host, dst), self.udp_port)
     }
 
     fn send_burst(&self, msgs: &mut Vec<WireMsg>) -> Result<usize, InsaneError> {
@@ -305,11 +343,7 @@ impl DatapathPlugin for DpdkPlugin {
             };
             if msgs.iter().all(|m| m.dst == dst) {
                 let batch = msgs.drain(..).map(|m| m.view);
-                match self.port.tx_burst_views(endpoint, batch) {
-                    Ok(n) => sent += n,
-                    Err(FabricError::Unreachable(_)) => {}
-                    Err(e) => return Err(e.into()),
-                }
+                sent += accepted(self.port.tx_burst_views(endpoint, batch))?;
                 break;
             }
             let mut batch = Vec::new();
@@ -322,11 +356,7 @@ impl DatapathPlugin for DpdkPlugin {
                 }
             }
             *msgs = rest;
-            match self.port.tx_burst_views(endpoint, batch) {
-                Ok(n) => sent += n,
-                Err(FabricError::Unreachable(_)) => {}
-                Err(e) => return Err(e.into()),
-            }
+            sent += accepted(self.port.tx_burst_views(endpoint, batch))?;
         }
         Ok(sent)
     }
@@ -337,29 +367,8 @@ impl DatapathPlugin for DpdkPlugin {
         let received_ns = epoch_ns();
         let mut n = 0;
         for pkt in packets {
-            let wire_ns = pkt.wire_ns;
-            let (store, _) = store_of(pkt.payload);
-            // Validate the full frame through the userspace stack, then
-            // the INSANE checksum behind the 42 transport bytes.
-            let parsed = PacketView::parse(store.bytes()).ok().and_then(|view| {
-                let insane = view.payload();
-                if !checksum_ok(insane) {
-                    return None;
-                }
-                InsaneHeader::parse(insane).ok()
-            });
-            let Some(hdr) = parsed else {
-                self.stats.rx_rejected.fetch_add(1, Ordering::Relaxed);
-                continue;
-            };
-            out.push(InboundMsg {
-                store,
-                hdr,
-                payload_offset: PAYLOAD_OFFSET,
-                wire_ns,
-                received_ns,
-            });
-            n += 1;
+            let ok = accept_ethernet(out, &self.stats, pkt.payload, pkt.wire_ns, received_ns);
+            n += usize::from(ok);
         }
         n
     }
@@ -418,15 +427,7 @@ impl DatapathPlugin for XdpPlugin {
         payload_len: usize,
         dst: HostId,
     ) -> Result<usize, InsaneError> {
-        hdr.write(&mut slot[INSANE_HDR_OFFSET..])?;
-        seal(&mut slot[INSANE_HDR_OFFSET..PAYLOAD_OFFSET + payload_len])?;
-        PacketBuilder::new()
-            .src_mac(MacAddr::from_host_index(self.host.index()))
-            .dst_mac(MacAddr::from_host_index(dst.index()))
-            .src(Ipv4Header::addr_for_host(self.host.index()), self.udp_port)
-            .dst(Ipv4Header::addr_for_host(dst.index()), self.udp_port)
-            .finish_in_place(slot, insane_netstack::insane_hdr::HEADER_LEN + payload_len)?;
-        Ok(0)
+        frame_ethernet(slot, hdr, payload_len, (self.host, dst), self.udp_port)
     }
 
     fn send_burst(&self, msgs: &mut Vec<WireMsg>) -> Result<usize, InsaneError> {
@@ -436,11 +437,7 @@ impl DatapathPlugin for XdpPlugin {
                 host: msg.dst,
                 port: self.udp_port,
             };
-            match self.socket.tx_view(dst, msg.view) {
-                Ok(()) => sent += 1,
-                Err(FabricError::Unreachable(_)) => {}
-                Err(e) => return Err(e.into()),
-            }
+            sent += accepted(self.socket.tx_view(dst, msg.view).map(|()| 1))?;
         }
         Ok(sent)
     }
@@ -449,28 +446,8 @@ impl DatapathPlugin for XdpPlugin {
         let mut n = 0;
         while n < max {
             let Some(desc) = self.socket.rx() else { break };
-            let received_ns = epoch_ns();
-            let wire_ns = desc.wire_ns;
-            let (store, _) = store_of(desc.payload);
-            let parsed = PacketView::parse(store.bytes()).ok().and_then(|view| {
-                let insane = view.payload();
-                if !checksum_ok(insane) {
-                    return None;
-                }
-                InsaneHeader::parse(insane).ok()
-            });
-            let Some(hdr) = parsed else {
-                self.stats.rx_rejected.fetch_add(1, Ordering::Relaxed);
-                continue;
-            };
-            out.push(InboundMsg {
-                store,
-                hdr,
-                payload_offset: PAYLOAD_OFFSET,
-                wire_ns,
-                received_ns,
-            });
-            n += 1;
+            let ok = accept_ethernet(out, &self.stats, desc.payload, desc.wire_ns, epoch_ns());
+            n += usize::from(ok);
         }
         n
     }
@@ -586,11 +563,7 @@ impl DatapathPlugin for RdmaPlugin {
         let mut sent = 0;
         for msg in msgs.drain(..) {
             let qp = self.qp_for(msg.dst)?;
-            match qp.post_send_view(msg.view, 0) {
-                Ok(()) => sent += 1,
-                Err(FabricError::Unreachable(_)) => {}
-                Err(e) => return Err(e.into()),
-            }
+            sent += accepted(qp.post_send_view(msg.view, 0).map(|()| 1))?;
         }
         Ok(sent)
     }
@@ -619,7 +592,7 @@ impl DatapathPlugin for RdmaPlugin {
                 // Replenish the receive queue.
                 qp.post_recv(completion.wr_id);
                 let wire_ns = completion.wire_ns;
-                let (store, _) = store_of(payload);
+                let store = store_of(payload);
                 let sealed_ok = store
                     .bytes()
                     .get(INSANE_HDR_OFFSET..)

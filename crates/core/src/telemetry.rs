@@ -292,7 +292,7 @@ pub(crate) mod introspection {
             // One datapath entry per (plugin, shard), combining the
             // telemetry counters (when recording is enabled) with the
             // health gate and the shard's live scheduler occupancy.
-            let nshards = self.config.shards_per_datapath;
+            let nshards = self.config().shards_per_datapath;
             let datapaths: Vec<Value> = self
                 .plugins
                 .iter()
@@ -308,9 +308,7 @@ pub(crate) mod introspection {
                             .filter(|d| d.name == name && d.shard == s)
                             .cloned()
                             .unwrap_or_default();
-                        let sh = self.shards.get(idx).and_then(|dp| dp.get(s));
-                        let queued = sh.map_or(0, |sh| sh.scheduler.lock().len() as u64);
-                        let burst = sh.map_or(0, |sh| sh.burst.load(Ordering::Relaxed) as u64);
+                        let (queued, burst) = self.shard_gauges(idx, s);
                         Value::object([
                             ("technology", Value::from(name.clone())),
                             ("shard", Value::from(s as u64)),
@@ -332,7 +330,7 @@ pub(crate) mod introspection {
                 .map(|r| r.streams.iter().map(|s| s.to_json()).collect())
                 .unwrap_or_default();
             let pools: Vec<Value> = self
-                .pools
+                .pools()
                 .classes()
                 .map(|pool| {
                     let stats = pool.stats();
@@ -352,9 +350,9 @@ pub(crate) mod introspection {
             // with the admission controller's counters and the telemetry
             // latency rollup (same tenant order is not guaranteed, so join
             // by id; anonymous tenant 0 is included).
-            let admission = self.admission.usage();
+            let admission = self.admission().usage();
             let tenants: Vec<Value> = self
-                .pools
+                .pools()
                 .tenant_usage()
                 .iter()
                 .map(|usage| {
@@ -389,7 +387,10 @@ pub(crate) mod introspection {
             ]);
             Value::object([
                 ("schema", Value::from(insane_telemetry::SNAPSHOT_SCHEMA)),
-                ("runtime_id", Value::from(u64::from(self.config.runtime_id))),
+                (
+                    "runtime_id",
+                    Value::from(u64::from(self.config().runtime_id)),
+                ),
                 ("host", Value::from(u64::from(self.host.index()))),
                 ("timestamp_ns", Value::from(epoch_ns())),
                 ("telemetry_enabled", Value::Bool(reg.is_some())),
@@ -405,6 +406,34 @@ pub(crate) mod introspection {
                 ("faults", faults),
             ])
             .to_string()
+        }
+
+        /// Applies an introspection-endpoint `reload` request: each
+        /// argument is one `key=value` assignment against the current
+        /// tunables snapshot; the batch publishes atomically or not at all.
+        /// Returns a human-readable summary of the published snapshot.
+        // insane-lint: cold-path -- control-plane reload, not steady state
+        pub(crate) fn reload_from_kv(&self, pairs: &str) -> Result<String, String> {
+            let mut next = (*self.tunables.load()).clone();
+            let mut applied = 0u32;
+            for pair in pairs.split_whitespace() {
+                let (key, value) = pair
+                    .split_once('=')
+                    .ok_or_else(|| format!("expected key=value, got {pair:?}"))?;
+                next.apply_kv(key, value)?;
+                applied += 1;
+            }
+            if applied == 0 {
+                return Err("reload requires at least one key=value argument".into());
+            }
+            let fmt_opt = |v: Option<u64>| v.map_or_else(|| "-".into(), |n| n.to_string());
+            let summary = format!(
+                "reloaded {applied} tunable(s): burst_min={} burst_max={} idle_yield_after={} idle_sleep_after={} idle_sleep_us={} tas_guard_band_ns={} tas_frame_tx_ns={}",
+                next.burst_min, next.burst_max, next.idle_yield_after, next.idle_sleep_after, next.idle_sleep_us,
+                fmt_opt(next.tas_guard_band_ns), fmt_opt(next.tas_frame_tx_ns)
+            );
+            self.reload_tunables(next).map_err(|e| e.to_string())?;
+            Ok(summary)
         }
     }
 

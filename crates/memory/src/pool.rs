@@ -874,13 +874,16 @@ impl SlotGuard {
     /// the slot: ownership moves to whoever receives the token.
     ///
     /// This is the moment `emit_data` hands the slot id to the runtime.
-    // The forget IS the ownership transfer: the checkout deliberately
-    // outlives the guard because the token now owns it.
-    #[allow(clippy::mem_forget)]
+    // Skipping the destructor IS the ownership transfer: the checkout
+    // deliberately outlives the guard because the token now owns it.  Only
+    // the release is skipped — the pool handle is still dropped, or every
+    // token would pin the arena forever.
     pub fn into_token(self) -> SlotToken {
-        let token = self.pool.token_for(self.index, self.generation, self.len);
-        core::mem::forget(self);
-        token
+        let this = core::mem::ManuallyDrop::new(self);
+        // SAFETY: `this` is never dropped or touched again, so the handle
+        // is moved out exactly once; the other fields are `Copy`.
+        let pool = unsafe { core::ptr::read(&this.pool) };
+        pool.token_for(this.index, this.generation, this.len)
     }
 
     /// The token this guard would produce, without consuming the guard.
@@ -965,13 +968,14 @@ impl SlotView {
     /// Keeps the slot checked out and returns the token, so the view can be
     /// forwarded without copying (e.g. a local sink handing the message to
     /// another component).
-    // The forget IS the ownership transfer: the checkout deliberately
-    // outlives the view because the token now owns it.
-    #[allow(clippy::mem_forget)]
+    // As `SlotGuard::into_token`: the checkout outlives the view (the
+    // token now owns it), the pool handle does not.
     pub fn into_token(self) -> SlotToken {
-        let token = self.pool.token_for(self.index, self.generation, self.len);
-        core::mem::forget(self);
-        token
+        let this = core::mem::ManuallyDrop::new(self);
+        // SAFETY: `this` is never dropped or touched again, so the handle
+        // is moved out exactly once; the other fields are `Copy`.
+        let pool = unsafe { core::ptr::read(&this.pool) };
+        pool.token_for(this.index, this.generation, this.len)
     }
 
     /// Creates a second zero-copy reference to the same slot.
@@ -1182,12 +1186,18 @@ mod tests {
     #[test]
     fn forwarding_view_as_token_keeps_slot_checked_out() {
         let p = pool();
+        let arena = Arc::downgrade(&p.inner);
         let t = p.acquire(2).unwrap().into_token();
         let v = p.view(t).unwrap();
         let t2 = v.into_token();
         assert_eq!(p.free_slots(), 3);
         p.release(t2).unwrap();
         assert_eq!(p.free_slots(), 4);
+        // A token keeps the *slot*, not the pool: once the last handle is
+        // gone the arena is freed (each `into_token` used to leak one
+        // strong count, so a pool that ever emitted was never dropped).
+        drop(p);
+        assert!(arena.upgrade().is_none(), "tokens must not pin the arena");
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //!    `INSANE_SKIP_OVERHEAD_GUARD=1` skips the timing half, and it only
 //!    runs on optimized builds (the allocation half always runs — it is
 //!    deterministic).
+//!
+//! The counting allocator this needs is the one place in the workspace
+//! that can see the heap from outside, so the runtime's drop-leak pin
+//! (`dropped_peered_runtimes_give_their_memory_back`) lives here too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,13 +30,15 @@ use insane_core::{
 };
 use insane_fabric::{Fabric, Technology, TestbedProfile};
 
-/// Counts every heap allocation made through the global allocator.
+/// Counts every heap allocation made through the global allocator, and
+/// the bytes currently allocated.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: defers entirely to the system allocator; the counter is a
-// relaxed atomic increment with no other side effects, so every
+// SAFETY: defers entirely to the system allocator; the counters are
+// relaxed atomic updates with no other side effects, so every
 // GlobalAlloc contract (layout fidelity, uniqueness, deallocation
 // pairing) is exactly the system allocator's.
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -40,6 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // layout); this wrapper adds no requirements of its own.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: `layout` is forwarded unchanged from our caller, which
         // upholds the GlobalAlloc contract for it.
         unsafe { System.alloc(layout) }
@@ -48,6 +55,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: callers pass a pointer previously returned by `alloc`
     // with the same layout, per the GlobalAlloc contract.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: `ptr`/`layout` come from a matching `alloc` through
         // this same wrapper, which allocated via `System`.
         unsafe { System.dealloc(ptr, layout) }
@@ -238,5 +246,42 @@ fn telemetry_round_trip_overhead_is_under_five_percent() {
          (disabled median {best_off} ns, sampled median {best_on} ns); \
          set INSANE_SKIP_OVERHEAD_GUARD=1 to skip on noisy machines",
         diff * 100.0
+    );
+}
+
+/// ROADMAP 3 (c): `SlotGuard::into_token` / `SlotView::into_token` used
+/// to forget their pool handle along with the checkout, so every emitted
+/// message — the control plane's Hello included — pinned the runtime's
+/// `PoolSet` forever: ≈ 16 MiB per peered build→drop cycle.  Unpeered
+/// runtimes send nothing and never showed it.
+#[test]
+fn dropped_peered_runtimes_give_their_memory_back() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let cycle = || {
+        let fabric = Fabric::new(TestbedProfile::local());
+        let (host_a, host_b) = (fabric.add_host("a"), fabric.add_host("b"));
+        let config = |id: u32| {
+            RuntimeConfig::new(id)
+                .with_technologies(&[Technology::KernelUdp, Technology::Dpdk])
+                .with_threading(ThreadingMode::Manual)
+        };
+        let rt_a = Runtime::start(config(1), &fabric, host_a).expect("runtime a");
+        let rt_b = Runtime::start(config(2), &fabric, host_b).expect("runtime b");
+        rt_a.add_peer(host_b).expect("add_peer");
+        poll_until_quiescent(&[&rt_a, &rt_b], 10_000);
+    };
+    // Process-wide lazy state (epoch clock, thread-locals) is set up by
+    // the first cycle and is not a leak.
+    cycle();
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    for _ in 0..8 {
+        cycle();
+    }
+    let after = LIVE_BYTES.load(Ordering::Relaxed);
+    assert_eq!(
+        after,
+        before,
+        "8 peered build→drop cycles left {} KiB of live heap behind",
+        after.saturating_sub(before) / 1024
     );
 }

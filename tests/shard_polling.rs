@@ -414,3 +414,138 @@ fn failover_evacuates_every_shard() {
     }
     assert_eq!(rt_a.slots_in_use(), 0, "failover must not leak slots");
 }
+
+/// The cross-shard TX handoff with a thread on each end: DPDK-mapped
+/// streams toward a UDP-only peer, so every message crosses from a DPDK
+/// shard's thread into the same-index kernel-UDP shard's thread — first
+/// as the peer-lacks-the-technology fallback, then (the sender's DPDK
+/// device failed mid-run) as failover traffic, then as the fallback
+/// again.  Every stream must arrive complete and in emit order, and
+/// nothing may stay checked out on the sender.
+#[test]
+fn threaded_handoff_to_a_udp_only_peer_survives_failover_in_order() {
+    const STREAMS: usize = 8;
+    const ROUNDS: u32 = 60;
+    const WINDOW: u32 = 8;
+    const PROBE: u32 = u32::MAX;
+
+    let fabric = Fabric::new(TestbedProfile::local());
+    let faults = fabric.faults();
+    let a = fabric.add_host("a");
+    let b = fabric.add_host("b");
+    let config = |id, techs: &[Technology]| {
+        RuntimeConfig::new(id)
+            .with_technologies(techs)
+            .with_threading(ThreadingMode::PerDatapath)
+            .with_shards_per_datapath(2)
+    };
+    let techs_a = [Technology::KernelUdp, Technology::Dpdk];
+    let rt_a = Runtime::start(config(1, &techs_a), &fabric, a).unwrap();
+    let rt_b = Runtime::start(config(2, &[Technology::KernelUdp]), &fabric, b).unwrap();
+    rt_a.add_peer(b).unwrap();
+
+    let session_a = insane::Session::connect(&rt_a).unwrap();
+    let session_b = insane::Session::connect(&rt_b).unwrap();
+    let stream_b = session_b.create_stream(QosPolicy::slow()).unwrap();
+    let sinks: Vec<_> = (0..STREAMS)
+        .map(|i| stream_b.create_sink(ChannelId(i as u32)).unwrap())
+        .collect();
+    let sources: Vec<_> = (0..STREAMS)
+        .map(|i| {
+            let stream = session_a.create_stream(QosPolicy::fast()).unwrap();
+            assert_eq!(stream.technology(), Technology::Dpdk);
+            stream.create_source(ChannelId(i as u32)).unwrap()
+        })
+        .collect();
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    let wait = |what: &str| {
+        assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+        std::thread::yield_now();
+    };
+    let emit = |i: usize, seq: u32| loop {
+        match sources[i].get_buffer(8) {
+            Ok(mut buf) => {
+                buf[..4].copy_from_slice(&(i as u32).to_le_bytes());
+                buf[4..].copy_from_slice(&seq.to_le_bytes());
+                match sources[i].emit(buf) {
+                    Ok(_) => return,
+                    Err(InsaneError::Backpressure) => wait("emit backpressure"),
+                    Err(e) => panic!("emit: {e}"),
+                }
+            }
+            Err(InsaneError::Memory(_)) => wait("get_buffer"),
+            Err(e) => panic!("get_buffer: {e}"),
+        }
+    };
+    // Next sequence number on sink `i`, or None when nothing is queued.
+    let try_next = |i: usize| -> Option<u32> {
+        let msg = sinks[i].consume(ConsumeMode::NonBlocking).ok()?;
+        assert_eq!(msg.len(), 8, "payload shape");
+        let stream = u32::from_le_bytes(msg[..4].try_into().unwrap());
+        assert_eq!(stream as usize, i, "message routed to the wrong sink");
+        Some(u32::from_le_bytes(msg[4..].try_into().unwrap()))
+    };
+
+    // The subscriptions travel over the threaded control plane: probe
+    // each stream until its sink hears one, so that no numbered message
+    // is emitted before the sender knows its subscriber.
+    for i in 0..STREAMS {
+        loop {
+            emit(i, PROBE);
+            if try_next(i).is_some() {
+                break;
+            }
+            wait("subscription never converged");
+        }
+    }
+
+    let mut expected = [0u32; STREAMS];
+    let mut run_rounds = |rounds: u32| {
+        for _ in 0..rounds {
+            let base = expected[0];
+            for seq in base..base + WINDOW {
+                for i in 0..STREAMS {
+                    emit(i, seq);
+                }
+            }
+            for (i, next) in expected.iter_mut().enumerate() {
+                while *next < base + WINDOW {
+                    match try_next(i) {
+                        Some(PROBE) => {}
+                        Some(seq) => {
+                            assert_eq!(seq, *next, "stream {i} lost or reordered a message");
+                            *next += 1;
+                        }
+                        None => wait("a message never arrived"),
+                    }
+                }
+            }
+        }
+    };
+    let dpdk_a = Endpoint {
+        host: a,
+        port: 40_002,
+    };
+
+    run_rounds(ROUNDS / 3);
+    faults.fail_device(dpdk_a);
+    while rt_a.stats().failover_events == 0 {
+        wait("down transition never observed");
+    }
+    run_rounds(ROUNDS / 3);
+    faults.restore_device(dpdk_a);
+    while rt_a.stats().failback_events == 0 {
+        wait("recovery never observed");
+    }
+    run_rounds(ROUNDS / 3);
+
+    assert_eq!(expected, [ROUNDS * WINDOW; STREAMS]);
+    let stats = rt_a.stats();
+    assert_eq!((stats.failover_events, stats.failback_events), (1, 1));
+    // Joining the polling threads first makes the pool reading stable
+    // (a heartbeat holds a slot for the length of its send).
+    rt_a.shutdown();
+    rt_b.shutdown();
+    assert_eq!(rt_a.slots_in_use(), 0, "handoff must not leak slots");
+}
