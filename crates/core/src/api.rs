@@ -25,9 +25,7 @@ use insane_queues::MpmcQueue;
 use parking_lot::{Condvar, Mutex};
 
 use crate::qos::QosPolicy;
-use crate::runtime::internals::{
-    Delivery, OutcomeBoard, PayloadStore, SinkShared, StreamShared, TxRequest,
-};
+use crate::runtime::internals::{Delivery, OutcomeBoard, SinkShared, StreamShared, TxRequest};
 use crate::runtime::Runtime;
 use crate::stats::{LatencyBreakdown, MessageMeta};
 use crate::{epoch_ns, ChannelId, InsaneError, PAYLOAD_OFFSET};
@@ -61,7 +59,8 @@ pub enum EmitOutcome {
     Pending,
     /// Handed to a datapath (or delivered locally).
     Completed,
-    /// Could not be sent (framing failure, stale token, device error).
+    /// Could not be sent (framing failure, device error, stream closed
+    /// with the message still queued).
     Failed,
 }
 
@@ -156,13 +155,30 @@ impl Session {
         })
     }
 
-    /// Closes the session and every stream it opened (`close_session`).
+    /// Closes the session and every stream it opened (`close_session`),
+    /// as [`Stream::close`] does each.
     pub fn close(&self) {
         self.closed.store(true, Ordering::Release);
-        for stream in self.streams.lock().drain(..) {
-            stream.closed.store(true, Ordering::Release);
+        let streams = std::mem::take(&mut *self.streams.lock());
+        close_streams(&self.runtime, &streams);
+    }
+}
+
+/// Closes `streams`: no new emit is accepted, the polling threads forget
+/// them, and whatever they still had queued is failed — dropping a
+/// request returns its slot and its tenant's quota charge here, at close.
+/// An emit racing past its `closed` check may still slip one request in
+/// behind the drain; that one is released when the last handle on the
+/// stream drops (the queue drops what it holds).
+fn close_streams(runtime: &Runtime, streams: &[Arc<StreamShared>]) {
+    for stream in streams {
+        stream.closed.store(true, Ordering::Release);
+    }
+    runtime.inner().streams.prune_closed();
+    for stream in streams {
+        while let Some(request) = stream.tx.pop() {
+            request.outcome.fail(request.seq, "stream closed");
         }
-        self.runtime.inner().streams.prune_closed();
     }
 }
 
@@ -283,10 +299,11 @@ impl Stream {
     }
 
     /// Closes the stream (`close_stream`); sources and sinks created from
-    /// it keep working on already-delivered data but no new emits flow.
+    /// it keep working on already-delivered data but no new emits flow,
+    /// and emits still queued fail ([`EmitOutcome::Failed`]) and give
+    /// their buffers back now.
     pub fn close(&self) {
-        self.shared.closed.store(true, Ordering::Release);
-        self.runtime.inner().streams.prune_closed();
+        close_streams(&self.runtime, std::slice::from_ref(&self.shared));
     }
 }
 
@@ -439,7 +456,7 @@ impl Source {
         self.outcome.emitted.fetch_add(1, Ordering::Relaxed);
         let class = self.stream.qos.time_sensitivity.traffic_class();
         let request = TxRequest {
-            token: buffer.guard.into_token(),
+            guard: buffer.guard,
             payload_len: buffer.payload_len,
             channel: self.channel,
             tenant: self.stream.tenant,
@@ -449,17 +466,16 @@ impl Source {
             frag,
             outcome: Arc::clone(&self.outcome),
         };
-        // insane-lint: allow(hot-path-alloc) -- SPSC ring push is fixed-capacity and never allocates
+        // insane-lint: allow(hot-path-alloc) -- MPMC ring push is fixed-capacity and never allocates
         match self.stream.tx.push(request) {
             Ok(()) => Ok(EmitToken { seq }),
-            Err(rejected) => {
-                // Back-pressure: hand the slot back, then let the
-                // overload policy decide what the caller hears — a
-                // retryable Backpressure, or a terminal Shed for
-                // best-effort traffic under ShedLowest.
-                let inner = self.runtime.inner();
-                let _ = inner.pools().release(rejected.token);
-                Err(inner.admission().on_tx_full(self.stream.tenant, class))
+            // Back-pressure: the refused request drops here, handing its
+            // slot back, and the overload policy decides what the caller
+            // hears — a retryable Backpressure, or a terminal Shed for
+            // best-effort traffic under ShedLowest.
+            Err(_refused) => {
+                let admission = self.runtime.inner().admission();
+                Err(admission.on_tx_full(self.stream.tenant, class))
             }
         }
     }
@@ -529,7 +545,7 @@ impl Sink {
             return Err(InsaneError::CallbackSink);
         }
         if let Some(delivery) = self.shared.queue.pop() {
-            return Ok(incoming_from_delivery(delivery, &self.shared.telemetry));
+            return Ok(IncomingMessage::new(delivery, &self.shared.telemetry));
         }
         match mode {
             ConsumeMode::NonBlocking => Err(InsaneError::WouldBlock),
@@ -539,7 +555,7 @@ impl Sink {
                 }
                 loop {
                     if let Some(delivery) = self.shared.queue.pop() {
-                        return Ok(incoming_from_delivery(delivery, &self.shared.telemetry));
+                        return Ok(IncomingMessage::new(delivery, &self.shared.telemetry));
                     }
                     if self.shared.closed.load(Ordering::Acquire)
                         || self.runtime.inner().is_stopped()
@@ -582,57 +598,40 @@ impl Drop for Sink {
 /// the borrowed buffer (`release_buffer`).
 #[derive(Debug)]
 pub struct IncomingMessage {
-    store: PayloadStore,
-    offset: usize,
-    len: usize,
-    meta: MessageMeta,
+    /// The delivery as the sink was handed it, shared with every other
+    /// sink of the fan-out; the slot goes back with the last holder.
+    delivery: Arc<Delivery>,
     consumed_ns: u64,
 }
 
-pub(crate) fn incoming_from_delivery(
-    delivery: Arc<Delivery>,
-    telemetry: &crate::telemetry::SinkTel,
-) -> IncomingMessage {
-    // Fast path: the only recipient takes the descriptor without clones.
-    let msg = match Arc::try_unwrap(delivery) {
-        Ok(delivery) => IncomingMessage {
-            store: delivery.store,
-            offset: delivery.offset,
-            len: delivery.len,
-            meta: delivery.meta,
-            consumed_ns: epoch_ns(),
-        },
-        Err(shared) => IncomingMessage {
-            store: shared.store.clone(),
-            offset: shared.offset,
-            len: shared.len,
-            meta: shared.meta,
-            consumed_ns: epoch_ns(),
-        },
-    };
-    telemetry.observe(&msg.meta, msg.consumed_ns);
-    msg
-}
-
 impl IncomingMessage {
+    pub(crate) fn new(delivery: Arc<Delivery>, telemetry: &crate::telemetry::SinkTel) -> Self {
+        let consumed_ns = epoch_ns();
+        telemetry.observe(&delivery.meta, consumed_ns);
+        IncomingMessage {
+            delivery,
+            consumed_ns,
+        }
+    }
+
     /// Payload length in bytes.
     pub fn len(&self) -> usize {
-        self.len
+        self.delivery.len
     }
 
     /// Whether the payload is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.delivery.len == 0
     }
 
     /// Message metadata (channel, seq, fragmentation, timestamps).
     pub fn meta(&self) -> &MessageMeta {
-        &self.meta
+        &self.delivery.meta
     }
 
     /// One-way latency breakdown for this message (Fig. 6 components).
     pub fn breakdown(&self) -> LatencyBreakdown {
-        LatencyBreakdown::from_meta(&self.meta, self.consumed_ns)
+        LatencyBreakdown::from_meta(&self.delivery.meta, self.consumed_ns)
     }
 
     /// Explicit release (equivalent to drop; mirrors `release_buffer`).
@@ -643,6 +642,7 @@ impl core::ops::Deref for IncomingMessage {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.store.bytes()[self.offset..self.offset + self.len]
+        let delivery = &*self.delivery;
+        &delivery.store.bytes()[delivery.offset..delivery.offset + delivery.len]
     }
 }

@@ -110,7 +110,7 @@ pub(crate) const PAYLOAD_OFFSET: usize =
 /// Errors surfaced by the INSANE API and runtime.
 #[derive(Debug)]
 pub enum InsaneError {
-    /// Memory-pool failure (exhausted, oversized request, stale token).
+    /// Memory-pool failure (exhausted, oversized request, over quota).
     Memory(insane_memory::MemoryError),
     /// Simulated-device or wire failure.
     Fabric(insane_fabric::FabricError),

@@ -137,9 +137,8 @@ impl RuntimeInner {
             timestamp_ns: epoch_ns(),
         };
         let wire_start = plugin.frame(&mut guard, &hdr, payload.len(), dst)?;
-        let view = self.pools.view(guard.into_token())?;
         let mut burst = vec![WireMsg {
-            view,
+            view: guard.into_view(),
             wire_start,
             dst,
         }];

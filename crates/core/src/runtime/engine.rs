@@ -600,7 +600,7 @@ impl RuntimeInner {
         &self,
         idx: usize,
         shard: usize,
-        req: TxRequest,
+        mut req: TxRequest,
         now: Instant,
         down: bool,
         st: &mut ShardState,
@@ -619,8 +619,8 @@ impl RuntimeInner {
         let sinks = &scratch.sinks;
         let remotes = &mut scratch.remotes;
         if sinks.is_empty() && remotes.is_empty() {
-            // Nobody is listening anywhere: drop (datagram semantics).
-            let _ = self.pools.release(req.token);
+            // Nobody is listening anywhere: drop (datagram semantics);
+            // the request takes its slot with it.
             req.outcome.complete_through(req.seq);
             return;
         }
@@ -630,16 +630,7 @@ impl RuntimeInner {
 
         // Frame in place when the message goes on a wire.
         let mut wire_start = 0;
-        let token = if remotes.is_empty() {
-            req.token
-        } else {
-            let mut guard = match self.pools.redeem(req.token) {
-                Ok(g) => g,
-                Err(_) => {
-                    req.outcome.fail(req.seq, "stale token");
-                    return;
-                }
-            };
+        if !remotes.is_empty() {
             let hdr = InsaneHeader {
                 kind: MessageKind::Data,
                 traffic_class: req.class.value(),
@@ -651,25 +642,49 @@ impl RuntimeInner {
                 total_len,
                 timestamp_ns: req.emit_ns,
             };
-            match plugin.frame(&mut guard, &hdr, req.payload_len, remotes[0].0) {
+            match plugin.frame(&mut req.guard, &hdr, req.payload_len, remotes[0].0) {
                 Ok(start) => wire_start = start,
                 Err(_) => {
                     req.outcome.fail(req.seq, "framing failure");
                     return;
                 }
             }
-            guard.into_token()
-        };
+        }
+        // Written and framed: from here on the slot is only read, through
+        // one reference per owner — each remote destination plus
+        // (optionally) the local delivery group.
+        let base = req.guard.into_view();
 
-        // One view per owner: each remote destination plus (optionally)
-        // the local delivery group.
-        let base = match self.pools.view(token) {
-            Ok(v) => v,
-            Err(_) => {
-                req.outcome.fail(req.seq, "stale token");
+        if !sinks.is_empty() {
+            let now_ns = epoch_ns();
+            let meta = MessageMeta {
+                channel: req.channel,
+                seq: wire_seq,
+                src_runtime: self.config.runtime_id,
+                frag: (frag_index, frag_count, total_len),
+                emit_ns: req.emit_ns,
+                wire_start_ns: now_ns,
+                wire_ns: 0,
+                dispatched_ns: now_ns,
+            };
+            self.stats
+                .local_deliveries
+                .fetch_add(sinks.len() as u64, Ordering::Relaxed);
+            // Fan-out cost: one hop charge covering every sink delivery.
+            self.hops.charge_batch(sinks.len() as u64);
+            let local = |view| Delivery {
+                store: PayloadStore::View(view),
+                offset: PAYLOAD_OFFSET,
+                len: req.payload_len,
+                meta,
+            };
+            if remotes.is_empty() {
+                self.fan_out(sinks, local(base));
+                req.outcome.complete_through(req.seq);
                 return;
             }
-        };
+            self.fan_out(sinks, local(base.clone_ref()));
+        }
 
         // Per-destination route.  A peer that lacks this stream's
         // technology, and every peer while this datapath is down, is
@@ -719,57 +734,13 @@ impl RuntimeInner {
             return;
         }
 
-        let owners = remotes.len() + usize::from(!sinks.is_empty());
-        let mut views: Vec<SlotView> = Vec::with_capacity(owners);
-        for _ in 1..owners {
-            views.push(base.clone_ref());
-        }
-        views.push(base);
-
-        if !sinks.is_empty() {
-            let Some(local_view) = views.pop() else {
-                req.outcome.fail(req.seq, "internal view accounting");
-                return;
-            };
-            let local_view = Arc::new(local_view);
-            let now_ns = epoch_ns();
-            let meta = MessageMeta {
-                channel: req.channel,
-                seq: wire_seq,
-                src_runtime: self.config.runtime_id,
-                frag: (frag_index, frag_count, total_len),
-                emit_ns: req.emit_ns,
-                wire_start_ns: now_ns,
-                wire_ns: 0,
-                dispatched_ns: now_ns,
-            };
-            self.stats
-                .local_deliveries
-                .fetch_add(sinks.len() as u64, Ordering::Relaxed);
-            // Fan-out cost: one hop charge covering every sink delivery.
-            self.hops.charge_batch(sinks.len() as u64);
-            let delivery = Arc::new(Delivery {
-                store: PayloadStore::View(local_view),
-                offset: PAYLOAD_OFFSET,
-                len: req.payload_len,
-                meta,
-            });
-            for sink in sinks.iter() {
-                if !sink.deliver(Arc::clone(&delivery)) {
-                    self.stats.sink_drops.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            if remotes.is_empty() {
-                req.outcome.complete_through(req.seq);
-                return;
-            }
-        }
-
         // Fan-out consumes the cached remote list; invalidate the cache.
+        // Every message takes its own reference and `base` drops its own
+        // when this function returns.
         let mut native: Vec<WireMsg> = Vec::new();
         let mut fallback: Vec<WireMsg> = Vec::new();
-        for (view, target) in views.into_iter().zip(remotes.drain(..)) {
-            let (is_native, msg) = route(view, target);
+        for target in remotes.drain(..) {
+            let (is_native, msg) = route(base.clone_ref(), target);
             if is_native {
                 native.push(msg);
             } else {
@@ -886,10 +857,23 @@ impl RuntimeInner {
         }
     }
 
+    /// The one sink fan-out, for emitted and received messages alike: the
+    /// delivery is wrapped once, every sink gets the same `Arc`, and a
+    /// sink that refuses it is counted.  The wrapper is the only count
+    /// above the slot's own state word.
+    // insane-lint: allow-fn(hot-path-alloc) -- one Arc<Delivery> per delivered message is the zero-copy sharing contract with sinks
+    fn fan_out(&self, sinks: &[Arc<SinkShared>], delivery: Delivery) {
+        let delivery = Arc::new(delivery);
+        for sink in sinks {
+            if !sink.deliver(Arc::clone(&delivery)) {
+                self.stats.sink_drops.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
     /// Dispatches one received message to the channel's local sinks,
     /// resolved against the caller's routing snapshot (`sinks` is a
     /// caller scratch buffer).
-    // insane-lint: allow-fn(hot-path-alloc) -- one Arc<Delivery> per inbound message is the zero-copy sharing contract with sinks
     fn dispatch_inbound(
         &self,
         msg: InboundMsg,
@@ -916,16 +900,12 @@ impl RuntimeInner {
             // inbound burst.
             self.hops.charge_batch(sinks.len() as u64 - 1);
         }
-        let delivery = Arc::new(Delivery {
+        let delivery = Delivery {
             store: msg.store,
             offset: msg.payload_offset,
             len: payload_len,
             meta,
-        });
-        for sink in sinks.iter() {
-            if !sink.deliver(Arc::clone(&delivery)) {
-                self.stats.sink_drops.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        };
+        self.fan_out(sinks, delivery);
     }
 }

@@ -2,12 +2,15 @@
 //!
 //! These are the in-process equivalents of the paper's shared-memory
 //! structures: token queues (Fig. 4), per-stream bookkeeping, and the
-//! per-sink delivery queues.
+//! per-sink delivery queues.  No process boundary is crossed here, so the
+//! queues carry the slot's owning handle, not its id: a request or a
+//! delivery dropped anywhere — refused, unrouted, left in a queue that
+//! dies — gives its slot back (DESIGN.md §6.9).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use insane_memory::{SlotToken, SlotView};
+use insane_memory::{SlotGuard, SlotView};
 use insane_queues::MpmcQueue;
 use insane_tsn::TrafficClass;
 use parking_lot::{Condvar, Mutex};
@@ -17,11 +20,12 @@ use crate::stats::MessageMeta;
 use crate::EmitOutcome;
 
 /// One emitted message travelling from the library to the runtime
-/// (the TX token of Fig. 4).
+/// (the TX token of Fig. 4).  It owns its slot: dropping the request
+/// releases it.
 #[derive(Debug)]
 pub(crate) struct TxRequest {
     /// Slot containing `[headroom][payload]`; length covers both.
-    pub token: SlotToken,
+    pub guard: SlotGuard,
     /// Application payload length (slot length minus headroom).
     pub payload_len: usize,
     /// Channel the message travels on.
@@ -43,21 +47,22 @@ pub(crate) struct TxRequest {
     pub outcome: Arc<OutcomeBoard>,
 }
 
-/// Where delivered payload bytes live.
-#[derive(Debug, Clone)]
+/// Where delivered payload bytes live.  Not `Clone`: sinks share the one
+/// [`Delivery`] that wraps it, and the slot's state word counts the rest.
+#[derive(Debug)]
 pub(crate) enum PayloadStore {
     /// Zero-copy view into a slot pool (possibly on the "remote" host —
     /// the fabric models DMA delivery).
-    View(Arc<SlotView>),
-    /// Shared owned bytes (kernel datapath, which copies anyway).
-    Shared(Arc<[u8]>),
+    View(SlotView),
+    /// Owned bytes (kernel datapath, which copies anyway).
+    Owned(Box<[u8]>),
 }
 
 impl PayloadStore {
     pub(crate) fn bytes(&self) -> &[u8] {
         match self {
             PayloadStore::View(v) => v,
-            PayloadStore::Shared(b) => b,
+            PayloadStore::Owned(b) => b,
         }
     }
 }
@@ -185,10 +190,7 @@ impl SinkShared {
         }
         if let Some(cb) = &self.callback {
             self.received.fetch_add(1, Ordering::Relaxed);
-            cb(crate::api::incoming_from_delivery(
-                delivery,
-                &self.telemetry,
-            ));
+            cb(crate::IncomingMessage::new(delivery, &self.telemetry));
             return true;
         }
         match self.queue.push(delivery) {
@@ -358,7 +360,7 @@ mod tests {
         };
         sink.close();
         let delivery = Arc::new(Delivery {
-            store: PayloadStore::Shared(Arc::from(vec![1u8, 2].into_boxed_slice())),
+            store: PayloadStore::Owned(Box::new([1u8, 2])),
             offset: 0,
             len: 2,
             meta: crate::stats::MessageMeta {

@@ -112,8 +112,8 @@ fn accepted(result: Result<usize, FabricError>) -> Result<usize, InsaneError> {
 
 fn store_of(payload: Payload) -> PayloadStore {
     match payload {
-        Payload::Pooled(view) => PayloadStore::View(Arc::new(view)),
-        Payload::Inline(bytes) => PayloadStore::Shared(Arc::from(bytes)),
+        Payload::Pooled(view) => PayloadStore::View(view),
+        Payload::Inline(bytes) => PayloadStore::Owned(bytes),
     }
 }
 
@@ -256,7 +256,7 @@ impl DatapathPlugin for UdpPlugin {
                         continue;
                     };
                     out.push(InboundMsg {
-                        store: PayloadStore::Shared(Arc::from(datagram.payload.into_boxed_slice())),
+                        store: PayloadStore::Owned(datagram.payload.into_boxed_slice()),
                         hdr,
                         payload_offset: insane_netstack::insane_hdr::HEADER_LEN,
                         wire_ns: datagram.wire_ns,

@@ -129,9 +129,7 @@ impl DpdkPort {
         for mbuf in mbufs {
             let len = mbuf.len();
             self.charger.charge_tx_packet(len);
-            let token = mbuf.into_token();
-            let view = self.mempool.view(token)?;
-            let frame = Frame::new(self.local_addr(), dst, Payload::Pooled(view));
+            let frame = Frame::new(self.local_addr(), dst, Payload::Pooled(mbuf.into_view()));
             let wire = len + self.charger.costs().wire_overhead_bytes;
             self.fabric
                 .transmit(frame, wire, self.charger.costs().nic_latency_ns)?;

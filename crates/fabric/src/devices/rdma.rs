@@ -189,43 +189,20 @@ impl QueuePair {
     /// * [`FabricError::NotConnected`] before [`QueuePair::connect`].
     /// * [`FabricError::Unreachable`] if the remote QP vanished.
     pub fn post_send(&self, buf: SlotGuard, wr_id: u64) -> Result<(), FabricError> {
-        let remote = (*self.remote.lock()).ok_or(FabricError::NotConnected)?;
-        let len = buf.len();
-        self.charger.charge_tx_packet(len);
-        self.charger.charge_doorbell();
-        let token = buf.token();
-        let pool = {
-            let mrs = self.mrs.lock();
-            mrs.iter()
-                .map(|m| m.pool.clone())
-                .find(|p| p.pool_id() == token.pool_id())
-        };
-        // Transfer the checkout into the frame; an unattached MR is a
-        // protection error and the dropped guard returns the slot.
-        let Some(pool) = pool else {
+        // An unattached MR is a protection error; the dropped guard
+        // returns the slot.
+        let mr = buf.token().pool_id();
+        if !self.mrs.lock().iter().any(|m| m.pool.pool_id() == mr) {
             return Err(FabricError::Memory(
                 insane_memory::MemoryError::InvalidToken,
             ));
-        };
-        let view = pool.view(buf.into_token())?;
-        let frame = Frame::new(self.local_addr(), remote, Payload::Pooled(view));
-        let wire = len + self.charger.costs().wire_overhead_bytes;
-        self.fabric
-            .transmit(frame, wire, self.charger.costs().nic_latency_ns)?;
-        self.send_cq.lock().push_back(Completion {
-            wr_id,
-            opcode: CompletionOpcode::Send,
-            payload: None,
-            src: None,
-            wire_ns: 0,
-        });
-        Ok(())
+        }
+        self.post_send_view(buf.into_view(), wr_id)
     }
 
-    /// Posts a two-sided SEND of an externally-owned zero-copy buffer
-    /// (e.g. an INSANE runtime pool slot; the runtime registered that pool
-    /// with the NIC at startup).  Costs are identical to
-    /// [`QueuePair::post_send`].
+    /// Posts a two-sided SEND of a frozen zero-copy buffer the NIC may DMA
+    /// from without a per-send check (e.g. an INSANE runtime pool slot;
+    /// the runtime registered that pool with the NIC at startup).
     ///
     /// # Errors
     ///

@@ -118,28 +118,19 @@ impl XdpSocket {
     ///
     /// [`FabricError::Unreachable`] if nothing is bound at `dst`.
     pub fn tx(&self, dst: Endpoint, frame: SlotGuard) -> Result<(), FabricError> {
-        let len = frame.len();
-        // Ring write + syscall kick + driver forwarding work.
-        self.charger.charge_doorbell();
-        self.charger.charge_tx_packet(len);
-        let token = frame.into_token();
-        let view = self.umem.view(token)?;
-        let wire_frame = Frame::new(self.local_addr(), dst, Payload::Pooled(view));
-        let wire = len + self.charger.costs().wire_overhead_bytes;
-        self.tx_submitted.fetch_add(1, Ordering::Relaxed);
-        self.fabric
-            .transmit(wire_frame, wire, self.charger.costs().nic_latency_ns)
+        self.tx_view(dst, frame.into_view())
     }
 
-    /// Submits an externally-owned zero-copy buffer (e.g. an INSANE
-    /// runtime pool slot already framed by the userspace stack).  Costs
-    /// are identical to [`XdpSocket::tx`].
+    /// Submits a frozen zero-copy buffer, from the umem or externally
+    /// owned (e.g. an INSANE runtime pool slot already framed by the
+    /// userspace stack).
     ///
     /// # Errors
     ///
     /// [`FabricError::Unreachable`] if nothing is bound at `dst`.
     pub fn tx_view(&self, dst: Endpoint, view: insane_memory::SlotView) -> Result<(), FabricError> {
         let len = view.len();
+        // Ring write + syscall kick + driver forwarding work.
         self.charger.charge_doorbell();
         self.charger.charge_tx_packet(len);
         let wire_frame = Frame::new(self.local_addr(), dst, Payload::Pooled(view));

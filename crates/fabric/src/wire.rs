@@ -707,9 +707,8 @@ mod tests {
         let pool = SlotPool::new(PoolConfig::new(0, 128, 4)).unwrap();
         let mut g = pool.acquire(5).unwrap();
         g.copy_from_slice(b"pool!");
-        let token = g.into_token();
-        let view = pool.view(token).unwrap();
-        f.transmit(Frame::new(ep(a, 1), dst, Payload::Pooled(view)), 64, 0)
+        let payload = Payload::Pooled(g.into_view());
+        f.transmit(Frame::new(ep(a, 1), dst, payload), 64, 0)
             .unwrap();
         assert_eq!(pool.free_slots(), 3, "slot checked out while in flight");
         let frame = port.recv_blocking().unwrap();

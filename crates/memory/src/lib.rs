@@ -8,16 +8,22 @@
 //! * [`SlotPool`] — a contiguous, fixed-slot-size arena with a lock-free
 //!   free list and generation-tagged slot handles that catch double-release
 //!   and use-after-release at the API boundary.
-//! * [`SlotToken`] — the transferable slot id (what travels on the TX/RX
-//!   token queues in Figure 4 of the paper).
-//! * [`SlotGuard`] — unique, RAII-owned access to a slot's bytes while an
-//!   application is writing or reading a message.
+//! * [`SlotGuard`] — unique, RAII-owned access to a slot's bytes while a
+//!   message is being written; [`SlotGuard::into_view`] freezes it into a
+//!   shareable, read-only [`SlotView`] of the same checkout.  Inside one
+//!   process these handles *are* what travels on the TX/RX queues of the
+//!   paper's Figure 4: the id plus the proof of owning it.
+//! * [`SlotToken`] — the bare slot id, for the one place a `Drop` cannot
+//!   follow: a descriptor ring between processes (`insane-ipc`).  The
+//!   receiving side validates it once ([`SlotPool::redeem`] /
+//!   [`SlotPool::view`]) and owns by type from there on.
 //! * [`PoolSet`] — size-class selection over several pools (small packet
 //!   slots vs jumbo-frame slots), which is what the runtime instantiates.
 //!
-//! The paper maps the pool into each application's address space with shared
-//! memory; in this reproduction every component lives in one process, so the
-//! "mapping" is an `Arc` and the slot-id discipline is identical.
+//! The paper maps the pool into each application's address space with
+//! shared memory; [`SlotPool::create_in_segment`] /
+//! [`SlotPool::attach_segment`] do exactly that, and a heap-backed pool is
+//! the same layout in a private segment.
 //!
 //! # Examples
 //!
@@ -27,10 +33,14 @@
 //! let pool = SlotPool::new(PoolConfig::new(0, 2048, 64))?;
 //! let mut guard = pool.acquire(11)?;
 //! guard.copy_from_slice(b"hello world");
-//! let token = guard.into_token();         // ship the id, not the bytes
-//! let view = pool.view(token)?;           // receiver side
+//! let token = guard.into_token();         // across a process: ship the id
+//! let view = pool.view(token)?;           // receiver validates it once
 //! assert_eq!(&*view, b"hello world");
 //! view.release();                          // slot returns to the free list
+//!
+//! let guard = pool.acquire(2)?;
+//! let view = guard.into_view();           // within a process: move the owner
+//! assert_eq!(view.len(), 2);
 //! # Ok::<(), insane_memory::MemoryError>(())
 //! ```
 

@@ -93,10 +93,12 @@ pub struct PoolStats {
     pub misuse_rejections: u64,
 }
 
-/// The transferable slot id: what the client library and the runtime push
-/// on their token queues instead of payload bytes (paper Fig. 4).
+/// The transferable slot id: what crosses a *process* boundary on a
+/// descriptor ring instead of payload bytes (paper Fig. 4).  Inside one
+/// process the owning handle itself ([`SlotGuard`], then [`SlotView`])
+/// crosses the queue; a token exists only where a `Drop` cannot follow.
 ///
-/// A token is `Copy` for queue ergonomics, but the middleware treats it
+/// A token is `Copy` and has no `Drop`, but the protocol treats it
 /// linearly: exactly one component owns it at a time.  The generation tag
 /// lets the pool reject stale copies at the first misuse.  Tokens carry
 /// only offsets and tags — never addresses — so they stay valid across
@@ -133,15 +135,6 @@ impl SlotToken {
     /// Whether the message length is zero.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Returns a copy of this token with an adjusted length.
-    ///
-    /// The runtime uses this when a datapath writes fewer bytes than the
-    /// slot capacity (e.g. after protocol-header stripping).
-    pub fn with_len(mut self, len: usize) -> Self {
-        self.len = len as u32;
-        self
     }
 
     /// Reassembles a token from its wire encoding (see
@@ -638,12 +631,7 @@ impl SlotPool {
         debug_assert_eq!(refs, 0, "slot on the free list with live references");
         state.store(pack_state(generation, 1), Ordering::Release);
         self.inner.store.set_len_word(index, len);
-        Ok(SlotGuard {
-            pool: self.clone(),
-            index,
-            generation,
-            len,
-        })
+        Ok(SlotGuard(self.checkout(index, generation, len)))
     }
 
     /// The exhaustion error for a `len`-byte request against this pool's
@@ -677,13 +665,7 @@ impl SlotPool {
     /// [`MemoryError::InvalidToken`] / [`MemoryError::StaleToken`] under the
     /// same conditions as [`SlotPool::view`].
     pub fn redeem(&self, token: SlotToken) -> Result<SlotGuard, MemoryError> {
-        self.validate(token)?;
-        Ok(SlotGuard {
-            pool: self.clone(),
-            index: token.index,
-            generation: token.generation,
-            len: token.len(),
-        })
+        self.validated(token).map(SlotGuard)
     }
 
     /// Produces a read-only view of the message a token refers to.
@@ -695,13 +677,7 @@ impl SlotPool {
     /// * [`MemoryError::StaleToken`] if the slot was released since the
     ///   token was minted (double release / use-after-release).
     pub fn view(&self, token: SlotToken) -> Result<SlotView, MemoryError> {
-        self.validate(token)?;
-        Ok(SlotView {
-            pool: self.clone(),
-            index: token.index,
-            generation: token.generation,
-            len: token.len(),
-        })
+        self.validated(token).map(SlotView)
     }
 
     /// Releases the slot a token refers to back to the free list.
@@ -795,7 +771,9 @@ impl SlotPool {
         Ok(())
     }
 
-    fn validate(&self, token: SlotToken) -> Result<(), MemoryError> {
+    /// The trust boundary of the by-token API: the checkout `token` names,
+    /// if the slot exists and is still live on the token's generation.
+    fn validated(&self, token: SlotToken) -> Result<Checkout, MemoryError> {
         self.check_addressable(token)?;
         let state = self.inner.store.state(token.index);
         let (generation, refs) = unpack_state(state.load(Ordering::Acquire));
@@ -803,39 +781,36 @@ impl SlotPool {
             self.count_misuse();
             return Err(MemoryError::StaleToken);
         }
-        Ok(())
+        Ok(self.checkout(token.index, token.generation, token.len()))
     }
 
-    fn token_for(&self, index: u32, generation: u32, len: usize) -> SlotToken {
-        SlotToken {
-            pool: self.inner.config.pool_id,
+    /// A handle on one live unit of checkout the caller has established
+    /// (popped the slot, validated its token, or retained a reference).
+    fn checkout(&self, index: u32, generation: u32, len: usize) -> Checkout {
+        Checkout {
+            pool: self.clone(),
             index,
             generation,
-            len: len as u32,
+            len,
         }
-    }
-
-    fn slot_ptr(&self, index: u32) -> *mut u8 {
-        self.inner.store.slot_ptr(index)
     }
 }
 
-/// Unique, writable access to one slot, returned by [`SlotPool::acquire`].
-///
-/// Dropping the guard without [`SlotGuard::into_token`] returns the slot to
-/// the pool (no leak on early error paths).
-pub struct SlotGuard {
+/// One unit of checkout on one slot: what a [`SlotGuard`] and a
+/// [`SlotView`] both are underneath.  It owns the release — the one `Drop`
+/// — and the one way around it ([`Checkout::into_token`]).
+struct Checkout {
     pool: SlotPool,
     index: u32,
-    /// Generation at checkout time; drops and tokens are pinned to it so a
-    /// stale guard can never release someone else's checkout.
+    /// Generation at checkout time; the drop and every token are pinned to
+    /// it so a stale handle can never release someone else's checkout.
     generation: u32,
     len: usize,
 }
 
-impl fmt::Debug for SlotGuard {
+impl fmt::Debug for Checkout {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SlotGuard")
+        f.debug_struct("Checkout")
             .field("pool", &self.pool.pool_id())
             .field("index", &self.index)
             .field("len", &self.len)
@@ -843,79 +818,50 @@ impl fmt::Debug for SlotGuard {
     }
 }
 
-impl SlotGuard {
-    /// Message length this guard was acquired for.
-    pub fn len(&self) -> usize {
-        self.len
+impl Checkout {
+    fn token(&self) -> SlotToken {
+        SlotToken {
+            pool: self.pool.pool_id(),
+            index: self.index,
+            generation: self.generation,
+            len: self.len as u32,
+        }
     }
 
-    /// Whether the message length is zero.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Shrinks or grows the valid message length (bounded by slot size).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` exceeds the pool's slot size.
-    pub fn set_len(&mut self, len: usize) {
-        assert!(
-            len <= self.pool.slot_size(),
-            "len {} exceeds slot size {}",
-            len,
-            self.pool.slot_size()
-        );
-        self.len = len;
-        self.pool.inner.store.set_len_word(self.index, len);
-    }
-
-    /// Converts the guard into a transferable token, *without* releasing
-    /// the slot: ownership moves to whoever receives the token.
-    ///
-    /// This is the moment `emit_data` hands the slot id to the runtime.
     // Skipping the destructor IS the ownership transfer: the checkout
-    // deliberately outlives the guard because the token now owns it.  Only
+    // deliberately outlives the handle because the token now owns it.  Only
     // the release is skipped — the pool handle is still dropped, or every
     // token would pin the arena forever.
-    pub fn into_token(self) -> SlotToken {
+    fn into_token(self) -> SlotToken {
+        let token = self.token();
         let this = core::mem::ManuallyDrop::new(self);
         // SAFETY: `this` is never dropped or touched again, so the handle
         // is moved out exactly once; the other fields are `Copy`.
-        let pool = unsafe { core::ptr::read(&this.pool) };
-        pool.token_for(this.index, this.generation, this.len)
+        drop(unsafe { core::ptr::read(&this.pool) });
+        token
     }
 
-    /// The token this guard would produce, without consuming the guard.
-    pub fn token(&self) -> SlotToken {
-        self.pool.token_for(self.index, self.generation, self.len)
+    fn ptr(&self) -> *mut u8 {
+        self.pool.inner.store.slot_ptr(self.index)
     }
-}
 
-impl core::ops::Deref for SlotGuard {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        // SAFETY: the guard uniquely owns the slot (free-list discipline),
-        // `slot_ptr` has provenance for the full slot, and `len` is bounded
-        // by the slot size.
-        unsafe { core::slice::from_raw_parts(self.pool.slot_ptr(self.index), self.len) }
+    fn bytes(&self) -> &[u8] {
+        // SAFETY: this checkout keeps the slot off the free list, `ptr` has
+        // provenance for the full slot and `len` is bounded by the slot
+        // size.  The only writer is a `SlotGuard` through `&mut self`,
+        // which excludes this `&self`; a guard turns into shareable views
+        // only by value (`into_view`), so no writer outlives the first
+        // reader.
+        unsafe { core::slice::from_raw_parts(self.ptr(), self.len) }
     }
 }
 
-impl core::ops::DerefMut for SlotGuard {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        // SAFETY: as above, plus `&mut self` guarantees no aliasing view.
-        unsafe { core::slice::from_raw_parts_mut(self.pool.slot_ptr(self.index), self.len) }
-    }
-}
-
-impl Drop for SlotGuard {
+impl Drop for Checkout {
     fn drop(&mut self) {
-        // A failure means this guard's checkout was already retired through
-        // a copied token (ownership-discipline misuse).  The generation
-        // check above guarantees we did not touch the slot's new owner;
-        // record the rejection instead of corrupting state.
+        // A failure means this checkout was already retired through a
+        // copied token or a `force_reclaim` (ownership-discipline misuse).
+        // The generation check guarantees we did not touch the slot's new
+        // owner; record the rejection instead of corrupting state.
         if self
             .pool
             .release_checkout(self.index, self.generation)
@@ -926,38 +872,100 @@ impl Drop for SlotGuard {
     }
 }
 
-/// Read-only access to the message a received token refers to.
+/// Unique, writable access to one slot, returned by [`SlotPool::acquire`].
 ///
-/// The paper's zero-copy receive path returns the application "a pointer to
-/// a memory area borrowed from the runtime"; `SlotView` is that borrow.
-/// Dropping the view (or calling [`SlotView::release`]) returns the slot.
-pub struct SlotView {
-    pool: SlotPool,
-    index: u32,
-    /// Generation at checkout time (see [`SlotGuard::generation`]).
-    generation: u32,
-    len: usize,
-}
+/// Dropping the guard returns the slot to the pool (no leak on early error
+/// paths); [`SlotGuard::into_view`] freezes it for readers; only
+/// [`SlotGuard::into_token`] lets the checkout outlive the handle.
+#[derive(Debug)]
+pub struct SlotGuard(Checkout);
 
-impl fmt::Debug for SlotView {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SlotView")
-            .field("pool", &self.pool.pool_id())
-            .field("index", &self.index)
-            .field("len", &self.len)
-            .finish()
-    }
-}
-
-impl SlotView {
-    /// Message length in bytes.
+impl SlotGuard {
+    /// Message length this guard was acquired for.
     pub fn len(&self) -> usize {
-        self.len
+        self.0.len
     }
 
     /// Whether the message length is zero.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.0.len == 0
+    }
+
+    /// Shrinks or grows the valid message length (bounded by slot size).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds the pool's slot size.
+    pub fn set_len(&mut self, len: usize) {
+        let this = &mut self.0;
+        assert!(
+            len <= this.pool.slot_size(),
+            "len {} exceeds slot size {}",
+            len,
+            this.pool.slot_size()
+        );
+        this.len = len;
+        this.pool.inner.store.set_len_word(this.index, len);
+    }
+
+    /// Freezes the written slot into a read-only, shareable view of the
+    /// *same* checkout: no state-word transition, no validation — the
+    /// guard is the proof of ownership.  This is how a slot travels inside
+    /// one process (emit → frame → wire → sink).
+    pub fn into_view(self) -> SlotView {
+        SlotView(self.0)
+    }
+
+    /// Converts the guard into a transferable token, *without* releasing
+    /// the slot: ownership moves to whoever receives the token.
+    ///
+    /// This is the moment a client process hands the slot id to the
+    /// runtime's descriptor ring.
+    pub fn into_token(self) -> SlotToken {
+        self.0.into_token()
+    }
+
+    /// The token this guard would produce, without consuming the guard.
+    pub fn token(&self) -> SlotToken {
+        self.0.token()
+    }
+}
+
+impl core::ops::Deref for SlotGuard {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        self.0.bytes()
+    }
+}
+
+impl core::ops::DerefMut for SlotGuard {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        // SAFETY: as `Checkout::bytes`; the guard is the slot's only
+        // handle (free-list discipline) and `&mut self` excludes every
+        // other borrow of it.
+        unsafe { core::slice::from_raw_parts_mut(self.0.ptr(), self.0.len) }
+    }
+}
+
+/// Read-only access to a message in a slot.
+///
+/// The paper's zero-copy receive path returns the application "a pointer to
+/// a memory area borrowed from the runtime"; `SlotView` is that borrow.
+/// Dropping the view (or calling [`SlotView::release`]) returns its unit of
+/// checkout; the slot goes back to the pool with the last one.
+#[derive(Debug)]
+pub struct SlotView(Checkout);
+
+impl SlotView {
+    /// Message length in bytes.
+    pub fn len(&self) -> usize {
+        self.0.len
+    }
+
+    /// Whether the message length is zero.
+    pub fn is_empty(&self) -> bool {
+        self.0.len == 0
     }
 
     /// Explicitly returns the slot to the pool (equivalent to drop, but
@@ -966,16 +974,9 @@ impl SlotView {
     pub fn release(self) {}
 
     /// Keeps the slot checked out and returns the token, so the view can be
-    /// forwarded without copying (e.g. a local sink handing the message to
-    /// another component).
-    // As `SlotGuard::into_token`: the checkout outlives the view (the
-    // token now owns it), the pool handle does not.
+    /// forwarded across a process boundary without copying.
     pub fn into_token(self) -> SlotToken {
-        let this = core::mem::ManuallyDrop::new(self);
-        // SAFETY: `this` is never dropped or touched again, so the handle
-        // is moved out exactly once; the other fields are `Copy`.
-        let pool = unsafe { core::ptr::read(&this.pool) };
-        pool.token_for(this.index, this.generation, this.len)
+        self.0.into_token()
     }
 
     /// Creates a second zero-copy reference to the same slot.
@@ -985,24 +986,20 @@ impl SlotView {
     /// received message to several co-located sinks without copying
     /// (the multi-sink experiment of Fig. 8b).
     pub fn clone_ref(&self) -> SlotView {
+        let this = &self.0;
         // This view holds a live checkout, so the retain can only fail if
         // some other component double-released our checkout out from under
         // us (misuse).  The clone still hands back a view pinned to our
         // generation: its eventual drop fails the generation check and is
         // counted, rather than disturbing the slot's next owner.
-        if self
+        if this
             .pool
-            .retain_checkout(self.index, self.generation)
+            .retain_checkout(this.index, this.generation)
             .is_err()
         {
-            self.pool.count_misuse();
+            this.pool.count_misuse();
         }
-        SlotView {
-            pool: self.pool.clone(),
-            index: self.index,
-            generation: self.generation,
-            len: self.len,
-        }
+        SlotView(this.pool.checkout(this.index, this.generation, this.len))
     }
 }
 
@@ -1010,25 +1007,7 @@ impl core::ops::Deref for SlotView {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        // SAFETY: the view owns one unit of checkout; writers cannot exist
-        // because ownership is linear (the guard was consumed to produce
-        // the token that produced this view), and `slot_ptr` has
-        // provenance for the full slot.
-        unsafe { core::slice::from_raw_parts(self.pool.slot_ptr(self.index), self.len) }
-    }
-}
-
-impl Drop for SlotView {
-    fn drop(&mut self) {
-        // See `SlotGuard::drop`: a failed release means our checkout was
-        // already retired via a copied token; count it, don't corrupt.
-        if self
-            .pool
-            .release_checkout(self.index, self.generation)
-            .is_err()
-        {
-            self.pool.count_misuse();
-        }
+        self.0.bytes()
     }
 }
 
@@ -1198,6 +1177,28 @@ mod tests {
         // strong count, so a pool that ever emitted was never dropped).
         drop(p);
         assert!(arena.upgrade().is_none(), "tokens must not pin the arena");
+    }
+
+    #[test]
+    fn guard_frozen_into_views_frees_the_slot_once() {
+        let p = pool();
+        let arena = Arc::downgrade(&p.inner);
+        let mut g = p.acquire(3).unwrap();
+        g.copy_from_slice(b"abc");
+        let generation = g.token().generation();
+        let v1 = g.into_view();
+        // Same checkout: no state-word transition, nothing to validate.
+        assert_eq!(v1.0.generation, generation);
+        assert_eq!((p.free_slots(), p.stats().in_use), (3, 1));
+        let v2 = v1.clone_ref();
+        drop(v1);
+        assert_eq!(&*v2, b"abc");
+        assert_eq!(p.free_slots(), 3, "one reference still out");
+        drop(v2);
+        assert_eq!((p.free_slots(), p.stats().in_use), (4, 0));
+        assert_eq!(p.stats().misuse_rejections, 0, "released exactly once");
+        drop(p);
+        assert!(arena.upgrade().is_none(), "views must not pin the arena");
     }
 
     #[test]

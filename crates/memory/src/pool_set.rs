@@ -3,14 +3,14 @@
 //! The INSANE runtime reserves more than one pool at startup: small slots
 //! for ordinary packets and jumbo slots for large payloads (the paper uses
 //! jumbo frames above 1.5 KB, §6.2).  `PoolSet` picks the smallest class
-//! that fits a request and routes token operations back to the owning pool.
+//! that fits a request and charges the lend to its tenant; the handle it
+//! returns knows its own pool, so nothing is ever routed back.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use insane_queues::sync::Arc;
 
-use crate::pool::{PoolConfig, SlotGuard, SlotPool, SlotToken, SlotView};
+use crate::pool::{PoolConfig, SlotGuard, SlotPool};
 use crate::quota::QuotaLedger;
 use crate::{MemoryError, PoolId, TenantId, TenantQuota, TenantUsage, DEFAULT_TENANT};
 
@@ -34,7 +34,6 @@ use crate::{MemoryError, PoolId, TenantId, TenantQuota, TenantUsage, DEFAULT_TEN
 pub struct PoolSet {
     /// Sorted ascending by slot size.
     classes: Vec<SlotPool>,
-    by_id: HashMap<PoolId, usize>,
     /// Tenant-quota accounting; present only when tenants registered.
     ledger: Option<Arc<QuotaLedger>>,
 }
@@ -102,29 +101,11 @@ impl PoolSetBuilder {
             base += slot_count;
         }
         classes.sort_by_key(|p| p.slot_size());
-        let by_id = classes
-            .iter()
-            .enumerate()
-            .map(|(pos, p)| (p.pool_id(), pos))
-            .collect();
-        Ok(PoolSet {
-            classes,
-            by_id,
-            ledger,
-        })
+        Ok(PoolSet { classes, ledger })
     }
 }
 
 impl PoolSet {
-    /// A reasonable default for the middleware runtime: a packet class
-    /// sized for standard frames and a jumbo class for large payloads.
-    pub fn default_runtime_set() -> Result<Self, MemoryError> {
-        PoolSetBuilder::new()
-            .pool(2048, 4096)
-            .pool(16 * 1024, 512)
-            .build()
-    }
-
     /// Acquires a slot from the smallest class that fits `len` bytes,
     /// falling back to larger classes when the preferred one is exhausted.
     ///
@@ -198,47 +179,6 @@ impl PoolSet {
         self.classes.last().map(|p| p.slot_size()).unwrap_or(0)
     }
 
-    /// The pool a token belongs to.
-    ///
-    /// # Errors
-    ///
-    /// [`MemoryError::InvalidToken`] if the pool id is unknown.
-    pub fn pool_of(&self, token: SlotToken) -> Result<&SlotPool, MemoryError> {
-        self.by_id
-            .get(&token.pool_id())
-            // insane-lint: allow(hot-path-panic) -- by_id positions are built from classes at construction
-            .map(|&pos| &self.classes[pos])
-            .ok_or(MemoryError::InvalidToken)
-    }
-
-    /// Read-only view of a token's message (routed to the owning pool).
-    ///
-    /// # Errors
-    ///
-    /// As [`SlotPool::view`], plus [`MemoryError::InvalidToken`] for an
-    /// unknown pool id.
-    pub fn view(&self, token: SlotToken) -> Result<SlotView, MemoryError> {
-        self.pool_of(token)?.view(token)
-    }
-
-    /// Unique write access for a token's slot (routed to the owning pool).
-    ///
-    /// # Errors
-    ///
-    /// As [`SlotPool::redeem`].
-    pub fn redeem(&self, token: SlotToken) -> Result<SlotGuard, MemoryError> {
-        self.pool_of(token)?.redeem(token)
-    }
-
-    /// Releases a token's slot (routed to the owning pool).
-    ///
-    /// # Errors
-    ///
-    /// As [`SlotPool::release`].
-    pub fn release(&self, token: SlotToken) -> Result<(), MemoryError> {
-        self.pool_of(token)?.release(token)
-    }
-
     /// Iterates over the size classes, smallest first.
     pub fn classes(&self) -> impl Iterator<Item = &SlotPool> {
         self.classes.iter()
@@ -247,11 +187,6 @@ impl PoolSet {
     /// Total slots currently lent out across all classes.
     pub fn total_in_use(&self) -> usize {
         self.classes.iter().map(|p| p.stats().in_use).sum()
-    }
-
-    /// Whether tenant quotas are being enforced on this set.
-    pub fn has_tenants(&self) -> bool {
-        self.ledger.is_some()
     }
 
     /// Slots currently held by `tenant` (always 0 without a ledger).
@@ -278,6 +213,13 @@ mod tests {
             .unwrap()
     }
 
+    /// Slot size of the class `guard` was lent from.
+    fn class_of(set: &PoolSet, guard: &SlotGuard) -> usize {
+        let id = guard.token().pool_id();
+        let owner = set.classes().find(|p| p.pool_id() == id);
+        owner.expect("lent by this set").slot_size()
+    }
+
     #[test]
     fn empty_builder_is_rejected() {
         assert!(matches!(
@@ -291,8 +233,8 @@ mod tests {
         let s = set();
         let small = s.acquire(64).unwrap();
         let large = s.acquire(65).unwrap();
-        assert_eq!(s.pool_of(small.token()).unwrap().slot_size(), 64);
-        assert_eq!(s.pool_of(large.token()).unwrap().slot_size(), 1024);
+        assert_eq!(class_of(&s, &small), 64);
+        assert_eq!(class_of(&s, &large), 1024);
     }
 
     #[test]
@@ -302,7 +244,7 @@ mod tests {
         let _b = s.acquire(10).unwrap();
         // Small class is now empty; the request spills into the 1 KB class.
         let c = s.acquire(10).unwrap();
-        assert_eq!(s.pool_of(c.token()).unwrap().slot_size(), 1024);
+        assert_eq!(class_of(&s, &c), 1024);
     }
 
     #[test]
@@ -386,48 +328,29 @@ mod tests {
             .tenant(3, TenantQuota::new(0, 2))
             .build()
             .unwrap();
-        assert!(s.has_tenants());
+        let pool = s.classes().next().unwrap();
         // Guard drop.
         drop(s.lend(3, 8).unwrap());
-        // Token release through the set.
+        assert_eq!(s.tenant_held(3), 0);
+        // Frozen guard: the views share one charge, credited by the last.
+        let view = s.lend(3, 8).unwrap().into_view();
+        let second = view.clone_ref();
+        drop(view);
+        assert_eq!(s.tenant_held(3), 1);
+        drop(second);
+        assert_eq!(s.tenant_held(3), 0);
+        // By-token view (the process-boundary path), then its drop.
         let t = s.lend(3, 8).unwrap().into_token();
-        s.release(t).unwrap();
-        // View drop.
+        assert_eq!(s.tenant_held(3), 1);
+        drop(pool.view(t).unwrap());
+        assert_eq!(s.tenant_held(3), 0);
+        // By-token release.
         let t = s.lend(3, 8).unwrap().into_token();
-        drop(s.view(t).unwrap());
+        pool.release(t).unwrap();
         assert_eq!(s.tenant_held(3), 0);
         let usage = s.tenant_usage();
         let t3 = usage.iter().find(|u| u.tenant == 3).unwrap();
         assert_eq!(t3.held, 0);
         assert_eq!(t3.max, 2);
-    }
-
-    #[test]
-    fn token_round_trips_through_set() {
-        let s = set();
-        let mut g = s.acquire(4).unwrap();
-        g.copy_from_slice(b"abcd");
-        let t = g.into_token();
-        assert_eq!(&*s.view(t).unwrap(), b"abcd");
-        // view drop released it; acquire twice to prove slot returned
-        let _x = s.acquire(64).unwrap();
-        let _y = s.acquire(64).unwrap();
-    }
-
-    #[test]
-    fn default_runtime_set_has_two_classes() {
-        let s = PoolSet::default_runtime_set().unwrap();
-        let sizes: Vec<_> = s.classes().map(|p| p.slot_size()).collect();
-        assert_eq!(sizes.len(), 2);
-        assert!(sizes[0] < sizes[1]);
-        assert!(s.max_slot_size() >= 9216, "jumbo frames must fit");
-    }
-
-    #[test]
-    fn release_routes_to_owning_pool() {
-        let s = set();
-        let t = s.acquire(900).unwrap().into_token();
-        s.release(t).unwrap();
-        assert_eq!(s.release(t), Err(MemoryError::StaleToken));
     }
 }

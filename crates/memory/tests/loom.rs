@@ -188,3 +188,45 @@ fn force_reclaim_racing_a_guard_drop_frees_the_slot_exactly_once() {
         assert!(pool.acquire(1).is_err());
     });
 }
+
+/// The in-process path racing crash recovery: one thread freezes its
+/// guard (`into_view`), shares it (`clone_ref`) and drops both references
+/// while `force_reclaim` walks the state words.  The freeze adds no
+/// transition of its own, so wherever the reclaim lands — before the
+/// retain, between the two drops, after the last — the slot is freed
+/// exactly once and every operation that lost is a counted misuse.
+#[test]
+fn force_reclaim_racing_frozen_views_frees_the_slot_exactly_once() {
+    loom::model(|| {
+        let (pool, _segment) = segment_pool(2);
+        let guard = pool.acquire(4).expect("fresh pool has free slots");
+        let reclaimer = {
+            let pool = pool.clone();
+            thread::spawn(move || pool.force_reclaim())
+        };
+        let view = guard.into_view();
+        let second = view.clone_ref();
+        drop(view);
+        drop(second);
+        let reclaimed = reclaimer.join().unwrap();
+        let stats = pool.stats();
+        assert!(reclaimed <= 1);
+        // A winning reclaim fails the retain and both drops, both drops,
+        // or only the last drop, depending on where it landed.
+        let lost = stats.misuse_rejections;
+        assert!(
+            if reclaimed == 1 {
+                (1..=3).contains(&lost)
+            } else {
+                lost == 0
+            },
+            "reclaimed={reclaimed} but {lost} operations lost"
+        );
+        assert_eq!(stats.in_use, 0, "checkout retired twice or not at all");
+        assert_eq!(pool.free_slots(), 2, "slot leaked or freed twice");
+        let a = pool.acquire(1).expect("slot 1 of 2");
+        let b = pool.acquire(1).expect("slot 2 of 2");
+        assert_ne!(a.token().index(), b.token().index());
+        assert!(pool.acquire(1).is_err());
+    });
+}

@@ -17,11 +17,14 @@
 //!
 //! The counting allocator this needs is the one place in the workspace
 //! that can see the heap from outside, so the runtime's drop-leak pin
-//! (`dropped_peered_runtimes_give_their_memory_back`) lives here too.
+//! (`dropped_peered_runtimes_give_their_memory_back`) and its
+//! allocations-per-message pin (`dpdk_round_trip_allocations_are_pinned`)
+//! live here too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 use insane_core::runtime::poll_until_quiescent;
 use insane_core::{
@@ -87,16 +90,21 @@ struct Loopback {
     _streams: (insane_core::Stream, insane_core::Stream),
 }
 
+/// A manually-driven runtime whose heartbeats stay out of every counted
+/// or timed window: they allocate (control payload, burst vector) and are
+/// paced by wall-clock time, so a slow block would catch more of them.
+fn quiet_config(id: u32, techs: &[Technology]) -> RuntimeConfig {
+    let mut config = RuntimeConfig::new(id)
+        .with_technologies(techs)
+        .with_threading(ThreadingMode::Manual);
+    config.control.heartbeat_interval = Duration::from_secs(3600);
+    config
+}
+
 fn loopback(fabric: &Fabric, base_id: u32, telemetry: TelemetryConfig) -> Loopback {
     let host_a = fabric.add_host(&format!("a{base_id}"));
     let host_b = fabric.add_host(&format!("b{base_id}"));
-    let techs = [Technology::KernelUdp];
-    let config = |id: u32| {
-        RuntimeConfig::new(id)
-            .with_technologies(&techs)
-            .with_threading(ThreadingMode::Manual)
-            .with_telemetry(telemetry)
-    };
+    let config = |id: u32| quiet_config(id, &[Technology::KernelUdp]).with_telemetry(telemetry);
     let rt_a = Runtime::start(config(base_id), fabric, host_a).expect("runtime a");
     let rt_b = Runtime::start(config(base_id + 1), fabric, host_b).expect("runtime b");
     rt_a.add_peer(host_b).expect("peer");
@@ -123,24 +131,31 @@ fn loopback(fabric: &Fabric, base_id: u32, telemetry: TelemetryConfig) -> Loopba
     }
 }
 
+/// One emit → poll → consume trip of a 32-byte payload from `source` to
+/// `sink`, driving both runtimes.
+fn one_way(runtimes: [&Runtime; 2], source: &insane_core::Source, sink: &insane_core::Sink) {
+    let mut buf = source.get_buffer(32).expect("buffer");
+    buf.fill(0x5a);
+    source.emit(buf).expect("emit");
+    loop {
+        for rt in runtimes {
+            rt.poll_once();
+        }
+        match sink.consume(ConsumeMode::NonBlocking) {
+            Ok(msg) => {
+                drop(msg);
+                break;
+            }
+            Err(InsaneError::WouldBlock) => {}
+            Err(e) => panic!("consume failed: {e}"),
+        }
+    }
+}
+
 impl Loopback {
     /// One emit → poll → consume round trip of a 32-byte payload.
     fn round_trip(&self) {
-        let mut buf = self.source.get_buffer(32).expect("buffer");
-        buf.fill(0x5a);
-        self.source.emit(buf).expect("emit");
-        loop {
-            self.rt_a.poll_once();
-            self.rt_b.poll_once();
-            match self.sink.consume(ConsumeMode::NonBlocking) {
-                Ok(msg) => {
-                    drop(msg);
-                    break;
-                }
-                Err(InsaneError::WouldBlock) => {}
-                Err(e) => panic!("consume failed: {e}"),
-            }
-        }
+        one_way([&self.rt_a, &self.rt_b], &self.source, &self.sink);
     }
 
     /// Allocations per `n` steady-state round trips.
@@ -283,5 +298,61 @@ fn dropped_peered_runtimes_give_their_memory_back() {
         before,
         "8 peered build→drop cycles left {} KiB of live heap behind",
         after.saturating_sub(before) / 1024
+    );
+}
+
+/// What one message costs the heap on the accelerated path, pinned
+/// exactly so that a new allocation per message — or a removed one —
+/// shows up as a number, not as noise in a latency median.
+#[test]
+fn dpdk_round_trip_allocations_are_pinned() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let fabric = Fabric::new(TestbedProfile::local());
+    let (host_a, host_b) = (fabric.add_host("a"), fabric.add_host("b"));
+    let config = |id: u32| quiet_config(id, &[Technology::KernelUdp, Technology::Dpdk]);
+    let rt_a = Runtime::start(config(1), &fabric, host_a).expect("runtime a");
+    let rt_b = Runtime::start(config(2), &fabric, host_b).expect("runtime b");
+    rt_a.add_peer(host_b).expect("peer");
+    poll_until_quiescent(&[&rt_a, &rt_b], 10_000);
+    let session_a = Session::connect(&rt_a).expect("session a");
+    let session_b = Session::connect(&rt_b).expect("session b");
+    let stream_a = session_a.create_stream(QosPolicy::fast()).expect("stream");
+    let stream_b = session_b.create_stream(QosPolicy::fast()).expect("stream");
+    assert_eq!(stream_a.technology(), Technology::Dpdk);
+    let ping_sink = stream_b.create_sink(ChannelId(7)).expect("sink");
+    let pong_sink = stream_a.create_sink(ChannelId(8)).expect("sink");
+    poll_until_quiescent(&[&rt_a, &rt_b], 10_000);
+    let ping_source = stream_a.create_source(ChannelId(7)).expect("source");
+    let pong_source = stream_b.create_source(ChannelId(8)).expect("source");
+    let round_trip = || {
+        one_way([&rt_a, &rt_b], &ping_source, &ping_sink);
+        one_way([&rt_a, &rt_b], &pong_source, &pong_sink);
+    };
+
+    // Warm-up: scratch vectors and device rings grow to their watermark.
+    for _ in 0..200 {
+        round_trip();
+    }
+    const N: u64 = 1_000;
+    let before = allocations();
+    for _ in 0..N {
+        round_trip();
+    }
+    let counted = allocations() - before;
+
+    // Per direction, all on the receive side or in the simulated device:
+    //   1  `Arc<Delivery>` — what the sinks of one message share; the
+    //      only allocation `insane-core` makes per message (the slot's
+    //      state word counts everything else);
+    //   1  `DpdkPort::tx_burst_views` staging the burst in a `Vec`;
+    //   2  `DpdkPort::rx_burst`: its frame `Vec` and the plugin's packet
+    //      `Vec` it fills.
+    // The three fabric ones are per *burst*, so they amortize under load;
+    // at one message in flight they are a finding for ROADMAP item 2.
+    const PER_DIRECTION: u64 = 4;
+    assert_eq!(
+        counted,
+        N * 2 * PER_DIRECTION,
+        "{counted} allocations over {N} DPDK round trips"
     );
 }

@@ -5,8 +5,8 @@ use insane::core::runtime::poll_until_quiescent;
 use insane::lunar::streaming::{LunarStreamClient, LunarStreamServer};
 use insane::lunar::LunarMom;
 use insane::{
-    ChannelId, ConsumeMode, Fabric, InsaneError, QosPolicy, Runtime, RuntimeConfig, Technology,
-    TestbedProfile, ThreadingMode,
+    ChannelId, ConsumeMode, EmitOutcome, Fabric, InsaneError, QosPolicy, Runtime, RuntimeConfig,
+    Technology, TestbedProfile, ThreadingMode,
 };
 
 fn manual(id: u32, techs: &[Technology]) -> RuntimeConfig {
@@ -200,6 +200,58 @@ fn sink_queue_overflow_drops_are_counted_not_fatal() {
     }
     assert_eq!(consumed as u64, stats.received);
     assert_eq!(rt.slots_in_use(), 0, "dropped deliveries release slots");
+}
+
+/// A stream closed with emits still queued gives everything back at the
+/// close, not when the session finally goes: the slots are free again and
+/// every outcome is resolved.
+#[test]
+fn closing_a_stream_releases_and_fails_its_queued_emits() {
+    let fabric = Fabric::new(TestbedProfile::local());
+    let host = fabric.add_host("solo");
+    let config = manual(1, &[Technology::KernelUdp, Technology::Dpdk]);
+    let rt = Runtime::start(config, &fabric, host).expect("runtime");
+    let session = insane::Session::connect(&rt).expect("session");
+    let stream = session.create_stream(QosPolicy::fast()).expect("stream");
+    let source = stream.create_source(ChannelId(1)).expect("source");
+
+    let before = rt.slots_in_use();
+    let emits: Vec<_> = (0..7)
+        .map(|_| {
+            let buf = source.get_buffer(64).expect("buffer");
+            source.emit(buf).expect("emit")
+        })
+        .collect();
+    assert_eq!(rt.slots_in_use(), before + 7, "queued, never polled");
+
+    stream.close();
+    assert_eq!(rt.slots_in_use(), before, "close returns queued slots");
+    for emit in emits {
+        assert_eq!(source.emit_outcome(emit), EmitOutcome::Failed);
+    }
+}
+
+/// An emit refused by a full TX queue hands back the buffer it was given.
+#[test]
+fn refused_emit_returns_its_slot() {
+    let fabric = Fabric::new(TestbedProfile::local());
+    let host = fabric.add_host("solo");
+    let mut config = manual(1, &[Technology::KernelUdp, Technology::Dpdk]);
+    config.tx_queue_depth = 8;
+    let rt = Runtime::start(config, &fabric, host).expect("runtime");
+    let session = insane::Session::connect(&rt).expect("session");
+    let stream = session.create_stream(QosPolicy::fast()).expect("stream");
+    let source = stream.create_source(ChannelId(1)).expect("source");
+
+    for _ in 0..8 {
+        let buf = source.get_buffer(64).expect("buffer");
+        source.emit(buf).expect("the queue takes its depth");
+    }
+    let full = rt.slots_in_use();
+    let buf = source.get_buffer(64).expect("buffer");
+    assert_eq!(rt.slots_in_use(), full + 1);
+    assert!(matches!(source.emit(buf), Err(InsaneError::Backpressure)));
+    assert_eq!(rt.slots_in_use(), full, "the refused buffer is released");
 }
 
 #[test]

@@ -97,6 +97,27 @@ fn over_quota_tenant_gets_typed_rejections_while_neighbor_completes() {
     drop(buf);
 }
 
+/// Closing a stream returns the quota its queued emits were holding, with
+/// the session still open: a tenant's teardown must not cost it its budget.
+#[test]
+fn closing_a_stream_returns_its_tenants_quota() {
+    let (_fabric, rt_a, _rt_b) = tenant_pair();
+    let greedy = Session::connect_with(&rt_a, SessionConfig::for_tenant(GREEDY)).expect("session");
+    let stream = greedy.create_stream(QosPolicy::fast()).expect("stream");
+    let source = stream.create_source(ChannelId(32)).expect("source");
+    // The whole 4-slot quota, emitted and never polled.
+    for _ in 0..4 {
+        let buf = source.get_buffer(64).expect("within quota");
+        source.emit(buf).expect("emit");
+    }
+    stream.close();
+
+    let second = greedy.create_stream(QosPolicy::fast()).expect("stream");
+    let source = second.create_source(ChannelId(32)).expect("source");
+    let lend = source.get_buffer(64);
+    assert!(lend.is_ok(), "quota still charged after close: {lend:?}");
+}
+
 #[test]
 fn rate_limited_tenant_is_refused_without_draining_its_neighbor() {
     let fabric = Fabric::new(TestbedProfile::local());

@@ -16,7 +16,8 @@
 //!   `insane-telemetry`/`insanectl` must not call `unwrap`/`expect` or
 //!   invoke `panic!`-family macros.
 //! * `raw-slot-arithmetic` — slot-index/generation arithmetic belongs in
-//!   `insane-memory` alone.
+//!   `insane-memory` alone, and non-test code may name `SlotToken` only
+//!   there and in `insane-ipc` (the process boundary it exists for).
 //! * `raw-socket` — OS socket types may be named only by the kernel-UDP
 //!   datapath plugin and the simulated-fabric UDP device.
 //! * `bad-waiver` — an `insane-lint:` directive lacking a non-empty
@@ -108,6 +109,11 @@ const SOCKET_ALLOWLIST: &[&str] = &[
 
 /// Where slot-token internals may be manipulated.
 const SLOT_ARITHMETIC_HOME: &str = "crates/memory/";
+
+/// Where non-test code may name `SlotToken` at all: the pool that mints
+/// it and the process boundary that ships it.  Everywhere else a slot
+/// travels as its owning handle (`SlotGuard`/`SlotView`).
+const SLOT_TOKEN_ZONES: &[&str] = &[SLOT_ARITHMETIC_HOME, "crates/ipc/"];
 
 /// Identifier-boundary tokens whose call marks a panic path.
 const PANIC_CALLS: &[&str] = &["unwrap", "expect"];
@@ -592,19 +598,26 @@ fn check_slot_arithmetic(
         return;
     }
     let code = &line.code;
-    // SlotToken struct literals (construction belongs to the pool).
+    // SlotToken struct literals (construction belongs to the pool), and
+    // outside the token's zones any non-test mention of the type.
+    let may_name = in_test || SLOT_TOKEN_ZONES.iter().any(|zone| rel.starts_with(zone));
     for pos in find_word(code, "SlotToken") {
         let after = code[pos + "SlotToken".len()..].trim_start();
-        if after.starts_with('{') {
-            out.push(Violation {
-                file: PathBuf::new(),
-                line: idx + 1,
-                rule: "raw-slot-arithmetic",
-                message: "constructing a `SlotToken` outside insane-memory defeats the \
-                          generation-tag discipline; mint tokens through the pool API"
-                    .to_string(),
-            });
-        }
+        let message = if after.starts_with('{') {
+            "constructing a `SlotToken` outside insane-memory defeats the \
+             generation-tag discipline; mint tokens through the pool API"
+        } else if !may_name {
+            "naming `SlotToken` outside insane-memory and insane-ipc: the bare id is for \
+             descriptor rings between processes; inside one, move the `SlotGuard`/`SlotView`"
+        } else {
+            continue;
+        };
+        out.push(Violation {
+            file: PathBuf::new(),
+            line: idx + 1,
+            rule: "raw-slot-arithmetic",
+            message: message.to_string(),
+        });
     }
     // Generation tags are an insane-memory implementation detail.  Test
     // code is exempt from the bare-identifier heuristic: scenario tests
@@ -724,6 +737,7 @@ mod tests {
             NO_PANIC_PREFIXES,
             NO_PANIC_EXEMPT,
             SOCKET_ALLOWLIST,
+            SLOT_TOKEN_ZONES,
         ];
         for path in lists.into_iter().flatten() {
             assert!(root.join(path).exists(), "{path} is listed but not there");
@@ -838,6 +852,25 @@ mod tests {
             "fn forge() { let t = SlotToken { pool: 0 }; }\n",
         );
         assert!(rules.contains(&"raw-slot-arithmetic"));
+    }
+
+    #[test]
+    fn slot_token_is_nameable_only_at_the_process_boundary() {
+        let src = "fn ship(token: SlotToken) {}\n";
+        for home in ["crates/memory/src/pool.rs", "crates/ipc/src/client.rs"] {
+            assert!(lint(home, src).is_empty(), "{home}");
+        }
+        for elsewhere in ["crates/core/src/api.rs", "crates/fabric/src/wire.rs"] {
+            assert_eq!(lint(elsewhere, src), vec!["raw-slot-arithmetic"]);
+        }
+        // Tests anywhere may name it; nobody outside the pool may forge it.
+        let in_test = "#[cfg(test)]\nmod tests {\n    fn f(token: SlotToken) {}\n}\n";
+        assert!(lint("crates/core/src/api.rs", in_test).is_empty());
+        let forged = "fn f() { let t = SlotToken { pool: 0 }; }\n";
+        assert_eq!(
+            lint("crates/ipc/src/client.rs", forged),
+            vec!["raw-slot-arithmetic"]
+        );
     }
 
     #[test]

@@ -28,6 +28,13 @@ fn bad_fixture_trips_every_rule() {
             "rule {expected} did not fire; got: {rules:?}"
         );
     }
+    // Naming the bare slot id in core, not only forging one, is a finding.
+    assert!(
+        violations
+            .iter()
+            .any(|v| v.rule == "raw-slot-arithmetic" && v.line == 31),
+        "`SlotToken` parameter in non-test core code went unnoticed: {violations:#?}"
+    );
     // The reason-less waiver must NOT suppress its target.
     assert!(
         violations

@@ -27,3 +27,5 @@ pub struct SlotToken {
     pub index: u32,
     pub generation: u32,
 }
+
+pub fn queue_by_id(token: SlotToken) {}

@@ -20,4 +20,9 @@ mod tests {
         let x: Option<u8> = Some(1);
         assert_eq!(x.unwrap(), 1);
     }
+
+    #[test]
+    fn tests_may_name_the_wire_id() {
+        assert_eq!(core::mem::size_of::<insane_memory::SlotToken>(), 16);
+    }
 }
