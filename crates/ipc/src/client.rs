@@ -5,7 +5,9 @@
 //! handshake, receive the segment fd over `SCM_RIGHTS`, `mmap`, attach
 //! the pool and rings.  After that the per-message path is
 //! `lend → emit` / `try_recv → drop`, which touches only the shared
-//! segment: no syscalls, no copies, no allocation.
+//! segment: no copies, no allocation, and no syscalls while the daemon
+//! is polling — one `write` (the `bell` line) from the `emit` that finds
+//! it parked.
 
 use std::io::Write;
 use std::os::fd::{AsRawFd, FromRawFd};
@@ -34,6 +36,8 @@ pub struct IpcClient {
     tx: ShmProducer,
     /// Daemon → client descriptor ring.
     rx: ShmConsumer,
+    /// The line of the daemon's doorbell ([`shm::bell`]).
+    bell_line: Segment,
 }
 
 impl core::fmt::Debug for IpcClient {
@@ -105,6 +109,7 @@ impl IpcClient {
             control,
             lines,
             session: ack.session,
+            bell_line: layout.bell_segment(&segment)?,
             segment,
             pool,
             tx,
@@ -203,9 +208,15 @@ impl IpcClient {
     /// Emits a filled slot on `stream`: pushes the 16-byte descriptor,
     /// transferring ownership of the checkout to the daemon.  On a full
     /// TX ring the guard is handed back untouched (nothing was sent).
+    /// If the daemon's datapath has parked, this is also what wakes it:
+    /// a reply-less `bell` line on this session's own control socket.
     // insane-lint: hot-path-root
     pub fn emit(&self, stream: u32, guard: SlotGuard) -> Result<(), SlotGuard> {
-        emit_on(&self.tx, stream, guard)
+        emit_on(&self.tx, &self.bell_line, stream, guard, || {
+            // A failed write means the daemon is gone; the next control
+            // request says so.
+            let _ = (&self.control).write_all(b"bell\n");
+        })
     }
 
     /// Polls the RX ring: returns the next `(stream, message)` if one is
@@ -230,13 +241,25 @@ impl IpcClient {
 /// Pushes the descriptor of `guard`'s slot for `stream` on `tx`.  Once it
 /// is in the ring the descriptor owns the checkout — the peer (or a
 /// force-reclaim) releases it; on a full ring the guard comes back.
-pub(crate) fn emit_on(tx: &ShmProducer, stream: u32, guard: SlotGuard) -> Result<(), SlotGuard> {
+/// After the push — never before it, or a park could slip in between —
+/// the producer's half of the [`Bell`](insane_queues::Bell) handshake:
+/// `wake` runs only if the consumer armed `bell_line`'s word.
+pub(crate) fn emit_on(
+    tx: &ShmProducer,
+    bell_line: &Segment,
+    stream: u32,
+    guard: SlotGuard,
+    wake: impl FnOnce(),
+) -> Result<(), SlotGuard> {
     let (word0, word1) = guard.token().to_wire();
     // insane-lint: allow(hot-path-alloc) -- ShmProducer::push writes a fixed-capacity shared ring; it never allocates
     match tx.push([word0, word1 | ((stream as u64) << 32)]) {
         Ok(()) => {
             // insane-lint: allow(slot-token-drop) -- ownership transferred to the in-flight descriptor pushed above
             let _ = guard.into_token();
+            if shm::bell(bell_line).is_some_and(|bell| bell.ring_if_armed()) {
+                wake();
+            }
             Ok(())
         }
         Err(_) => Err(guard),

@@ -8,15 +8,17 @@
 //! * **Control plane** ([`uds`], [`proto`], [`server`]): a Unix-domain
 //!   socket carrying a versioned line protocol — `attach` (with the
 //!   shared-segment fd passed via `SCM_RIGHTS`), stream create/destroy,
-//!   heartbeat, graceful detach, and the introspection ops `probe` and
-//!   `stats`.  Slow, allocating, forgiving: it runs once per session,
-//!   not per message.
+//!   heartbeat, graceful detach, the introspection ops `probe` and
+//!   `stats`, and `bell`, the wake-up a client sends a daemon whose
+//!   datapath has parked.  Slow, allocating, forgiving: it runs once
+//!   per session (or per park), not per message.
 //! * **Datapath** ([`client`], plus [`insane_memory::Segment`] and
 //!   [`insane_queues::ring`]): a per-session shared-memory segment
 //!   holding a [`SlotPool`](insane_memory::SlotPool) and two offset-
 //!   addressed SPSC descriptor rings.  `lend → emit → (daemon) → recv →
 //!   release` moves 16-byte descriptors, never payload bytes, and
-//!   allocates nothing after attach.
+//!   allocates nothing after attach.  The daemon polls the rings while
+//!   descriptors flow and parks when they stop ([`server`], "Idle").
 //!
 //! Crash isolation is first-class: each session gets its *own* segment
 //! and pool, so when a client dies (socket hangup or missed heartbeats)

@@ -21,8 +21,10 @@ use crate::IpcError;
 
 /// A complete client↔runtime datapath inside one process: heap segment,
 /// pool, TX/RX descriptor rings, and the daemon's own datapath thread
-/// (`server::run_datapath`: bursts, pending holdover, idle sleep)
-/// serving this one session.
+/// (`server::run_datapath`: bursts, pending holdover, spin-then-park
+/// idle) serving this one session.  `emit` rings the same bell a client
+/// process would; only the wake is a direct `unpark` instead of a line
+/// on a control socket.
 ///
 /// The API mirrors [`crate::IpcClient`]'s hot path — `lend → emit` /
 /// `try_recv → drop` — so a benchmark can drive both with the same
@@ -31,6 +33,7 @@ pub struct InProcessLoop {
     pool: SlotPool,
     tx: ShmProducer,
     rx: ShmConsumer,
+    bell_line: Segment,
     daemon: Arc<ServerState>,
     datapath: Option<std::thread::JoinHandle<()>>,
 }
@@ -68,14 +71,19 @@ impl InProcessLoop {
         let daemon_ends = unsafe { layout.daemon_ends(&segment) };
 
         // No control plane: the socket path is never bound.
-        let (daemon, sessions, datapath) = ServerState::start(ServerConfig::new(""))?;
-        sessions
-            .send(DatapathSession::new(0, pool.clone(), daemon_ends))
-            .map_err(|_| IpcError::SessionDead)?;
+        let bell_line = layout.bell_segment(&segment)?;
+        let (daemon, datapath) = ServerState::start(ServerConfig::new(""))?;
+        daemon.adopt(DatapathSession::new(
+            0,
+            pool.clone(),
+            daemon_ends,
+            bell_line.clone(),
+        ))?;
         Ok(Self {
             pool,
             tx,
             rx,
+            bell_line,
             daemon,
             datapath: Some(datapath),
         })
@@ -98,7 +106,7 @@ impl InProcessLoop {
     /// Emits a filled slot; the datapath routes it back to `try_recv`.
     /// On a full ring the guard is handed back untouched.
     pub fn emit(&self, guard: SlotGuard) -> Result<(), SlotGuard> {
-        emit_on(&self.tx, 0, guard)
+        emit_on(&self.tx, &self.bell_line, 0, guard, || self.daemon.wake())
     }
 
     /// Polls for the next forwarded message.
@@ -146,5 +154,31 @@ mod tests {
         let guard = lb.lend(4).unwrap();
         assert!(lb.emit(guard).is_ok());
         drop(lb); // must not hang even with a descriptor in flight
+    }
+
+    #[test]
+    fn drop_wakes_a_parked_forwarder() {
+        use crate::server::SPIN_WINDOW;
+        let lb = InProcessLoop::new(256, 8, 8).unwrap();
+        std::thread::sleep(3 * SPIN_WINDOW); // idle: parked by now
+        let dropped = std::time::Instant::now();
+        drop(lb);
+        let took = dropped.elapsed();
+        assert!(took.as_millis() < 50, "drop waited out the park: {took:?}");
+    }
+
+    #[test]
+    fn a_parked_forwarder_is_woken_by_emit() {
+        use crate::server::{BACKSTOP, SPIN_WINDOW};
+        let lb = InProcessLoop::new(256, 8, 8).unwrap();
+        for _ in 0..5 {
+            std::thread::sleep(3 * SPIN_WINDOW);
+            let emitted = std::time::Instant::now();
+            assert!(lb.emit(lb.lend(4).unwrap()).is_ok());
+            while lb.try_recv().is_none() {
+                std::thread::yield_now();
+            }
+            assert!(emitted.elapsed() < BACKSTOP / 2, "the emit did not wake it");
+        }
     }
 }

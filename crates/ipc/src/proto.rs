@@ -4,27 +4,33 @@
 //! the same shape as the runtime introspection endpoint this protocol
 //! grew out of, so `nc -U` remains a debugging tool.  The only binary
 //! element is the shared-segment descriptor riding the attach ack as an
-//! `SCM_RIGHTS` control message.
+//! `SCM_RIGHTS` control message, and the only line without a response
+//! is `bell`: the datapath's wake-up request (see `server`), written
+//! from `emit` when the daemon has parked, where a reply would be
+//! one more thing to wait for.
 //!
 //! ```text
 //! client → daemon                      daemon → client
 //! ---------------                      ---------------
-//! attach insane-ipc-v1 <tenant> <qos>  ok attach <session> <slot_size>
+//! attach insane-ipc-v2 <tenant> <qos>  ok attach <session> <slot_size>
 //!                                        <slot_count> <ring_cap>
-//!                                        <pool_off> <tx_off> <rx_off>
-//!                                        <seg_len>            (+ fd)
+//!                                        <pool_off> <tx_off> <bell_off>
+//!                                        <rx_off> <seg_len>   (+ fd)
 //! stream-create <name>                 ok stream <id>
 //! stream-destroy <id>                  ok
 //! hb                                   ok
-//! probe                                ok probe insane-ipc-v1
+//! probe                                ok probe insane-ipc-v2
 //! stats                                ok stats k=v k=v …
+//! bell                                 (nothing)
+//! shutdown                             ok   (exit once this connection ends)
 //! detach                               ok
 //! anything else                        err <reason>
 //! ```
 //!
 //! The attach line carries the protocol version; a daemon refuses a
 //! mismatched client with a typed `err`, so an old library never maps a
-//! segment whose layout it misreads.
+//! segment whose layout it misreads — nor, since v2, attaches to a
+//! daemon that parks without knowing it has to ring.
 
 use std::io::Read;
 
@@ -32,7 +38,7 @@ use crate::shm::SessionLayout;
 use crate::IpcError;
 
 /// Protocol identifier sent in every `attach` and answered by `probe`.
-pub const PROTO_VERSION: &str = "insane-ipc-v1";
+pub const PROTO_VERSION: &str = "insane-ipc-v2";
 
 /// Hard cap on a control line; anything longer is a protocol error.
 pub const MAX_LINE: usize = 4096;
@@ -47,7 +53,7 @@ pub struct AttachAck {
     pub slot_size: usize,
     /// Slot count of the session pool.
     pub slot_count: usize,
-    /// Segment-relative offsets of the pool and the two rings.
+    /// Segment-relative offsets of the pool, the two rings and the bell.
     pub layout: SessionLayout,
 }
 
@@ -58,11 +64,12 @@ impl AttachAck {
             ring_capacity,
             pool_off,
             tx_off,
+            bell_off,
             rx_off,
             seg_len,
         } = self.layout;
         format!(
-            "ok attach {} {} {} {ring_capacity} {pool_off} {tx_off} {rx_off} {seg_len}",
+            "ok attach {} {} {} {ring_capacity} {pool_off} {tx_off} {bell_off} {rx_off} {seg_len}",
             self.session, self.slot_size, self.slot_count
         )
     }
@@ -94,6 +101,7 @@ impl AttachAck {
                 ring_capacity: field()?,
                 pool_off: field()?,
                 tx_off: field()?,
+                bell_off: field()?,
                 rx_off: field()?,
                 seg_len: field()?,
             }
@@ -181,6 +189,7 @@ mod tests {
                 ring_capacity: 64,
                 pool_off: 0,
                 tx_off: 4096,
+                bell_off: 8128,
                 rx_off: 8192,
                 seg_len: 12288,
             },
@@ -190,7 +199,8 @@ mod tests {
 
     #[test]
     fn malformed_acks_are_typed_errors() {
-        let inconsistent = "ok attach 1 2048 256 64 0 4096 8192 8200";
+        let inconsistent = "ok attach 1 2048 256 64 0 4096 8128 8192 8200";
+        let v1_without_a_bell = "ok attach 1 2048 256 64 0 4096 8192 12288";
         for bad in [
             "",
             "ok",
@@ -198,6 +208,7 @@ mod tests {
             "ok attach 1 2 three",
             "ok attach 1",
             inconsistent,
+            v1_without_a_bell,
         ] {
             assert!(matches!(AttachAck::parse(bad), Err(IpcError::Protocol(_))));
         }

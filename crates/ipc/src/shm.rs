@@ -17,16 +17,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use insane_memory::{PoolConfig, Segment, SlotPool};
-use insane_queues::{ring_bytes, ShmConsumer, ShmProducer};
+use insane_queues::{ring_bytes, Bell, ShmConsumer, ShmProducer};
 
 use crate::sys;
 use crate::IpcError;
 
-/// Where a session's pool and its two descriptor rings sit in the
-/// session segment.  The daemon [`pack`](Self::pack)s one and sends it
-/// in the attach ack; the client [`validate`](Self::validate)s what it
-/// received (`AttachAck::parse` does); both then take their ring ends
-/// from it.
+/// Bytes the bell word gets to itself: one cache line, so the client's
+/// per-emit load of it never shares a line with a ring index somebody
+/// is writing.
+const BELL_LINE: usize = 64;
+
+/// Where a session's pool, its two descriptor rings and the daemon's
+/// bell sit in the session segment.  The daemon [`pack`](Self::pack)s
+/// one and sends it in the attach ack; the client
+/// [`validate`](Self::validate)s what it received (`AttachAck::parse`
+/// does); both then take their ring ends and the bell from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionLayout {
     /// Capacity of each descriptor ring.
@@ -35,6 +40,9 @@ pub struct SessionLayout {
     pub pool_off: usize,
     /// Client→daemon descriptor ring offset.
     pub tx_off: usize,
+    /// Offset of the daemon's doorbell word ([`Bell`]): one `u32` at
+    /// the start of a cache line of its own, outside pool and rings.
+    pub bell_off: usize,
     /// Daemon→client descriptor ring offset.
     pub rx_off: usize,
     /// Total segment length, bytes.
@@ -42,9 +50,11 @@ pub struct SessionLayout {
 }
 
 impl SessionLayout {
-    /// Lays a session out as `[pool | TX ring | RX ring]`, each ring
-    /// rounded up to whole cache lines so head and tail words never
-    /// share a line across a region boundary.
+    /// Lays a session out as `[pool | TX ring | bell | RX ring]`, each
+    /// ring rounded up to whole cache lines so head and tail words never
+    /// share a line across a region boundary.  The bell line sits
+    /// between the rings: whichever page it lands on, a ring entry or
+    /// index word both processes touch anyway keeps that page resident.
     ///
     /// # Errors
     ///
@@ -55,11 +65,13 @@ impl SessionLayout {
         // Saturating: an overflowing layout cannot pass `validate`.
         let tx_off = SlotPool::required_segment_len(pool)?;
         let ring_len = ring_bytes(ring_capacity).saturating_add(63) & !63;
-        let rx_off = tx_off.saturating_add(ring_len);
+        let bell_off = tx_off.saturating_add(ring_len);
+        let rx_off = bell_off.saturating_add(BELL_LINE);
         Self {
             ring_capacity,
             pool_off: 0,
             tx_off,
+            bell_off,
             rx_off,
             seg_len: rx_off.saturating_add(ring_len),
         }
@@ -73,7 +85,8 @@ impl SessionLayout {
     /// # Errors
     ///
     /// [`IpcError::Protocol`] if the regions do not fit `seg_len`, are
-    /// misaligned, or the ring capacity is not a power of two.
+    /// misaligned, the bell line overlaps the pool or a ring, or the
+    /// ring capacity is not a power of two.
     pub fn validate(self) -> Result<Self, IpcError> {
         // Saturates on an absurd capacity, which then fails `fits`.
         let ring_len = ring_bytes(self.ring_capacity);
@@ -83,6 +96,11 @@ impl SessionLayout {
                     .checked_add(ring_len)
                     .is_some_and(|end| end <= self.seg_len)
         };
+        let bell_end = self.bell_off.saturating_add(BELL_LINE);
+        // Only asked about a ring that `fits`: `ring_off + ring_len`
+        // cannot wrap.
+        let bell_clear_of =
+            |ring_off: usize| bell_end <= ring_off || ring_off + ring_len <= self.bell_off;
         // What `ShmProducer::attach`/`SlotPool::attach_segment` would
         // otherwise assert: capacity, alignment, bounds.
         if self.ring_capacity.is_power_of_two()
@@ -91,6 +109,11 @@ impl SessionLayout {
             && self.pool_off <= self.tx_off
             && fits(self.tx_off)
             && fits(self.rx_off)
+            && self.bell_off.is_multiple_of(BELL_LINE)
+            && self.bell_off >= self.tx_off
+            && bell_end <= self.seg_len
+            && bell_clear_of(self.tx_off)
+            && bell_clear_of(self.rx_off)
         {
             Ok(self)
         } else {
@@ -105,6 +128,17 @@ impl SessionLayout {
     /// [`IpcError::Memory`] if `segment` is shorter than the layout.
     pub fn pool_segment(&self, segment: &Segment) -> Result<Segment, IpcError> {
         Ok(segment.slice(self.pool_off, self.tx_off - self.pool_off)?)
+    }
+
+    /// The bell line's window of `segment` (the word opens it).  Each
+    /// side keeps this handle instead of a reference, so the mapping
+    /// stays pinned and no pointer is stored.
+    ///
+    /// # Errors
+    ///
+    /// [`IpcError::Memory`] if `segment` is shorter than the layout.
+    pub fn bell_segment(&self, segment: &Segment) -> Result<Segment, IpcError> {
+        Ok(segment.slice(self.bell_off, BELL_LINE)?)
     }
 
     /// The client's ring ends: TX producer, RX consumer.
@@ -161,6 +195,13 @@ impl SessionLayout {
         let (tx, rx) = unsafe { (base.add(self.tx_off), base.add(self.rx_off)) };
         (tx, rx, Arc::new(segment.clone()))
     }
+}
+
+/// The doorbell whose word opens `line`, a
+/// [`SessionLayout::bell_segment`] (never `None` for one: the window is
+/// a whole aligned cache line).
+pub(crate) fn bell(line: &Segment) -> Option<Bell<'_>> {
+    line.atomic_u32s(0, 1).first().map(Bell::new)
 }
 
 /// Owner of one `mmap` region; dropping the last [`Segment`] handle
@@ -244,17 +285,18 @@ mod tests {
     fn packed_layout_validates_and_is_cache_line_aligned() {
         let layout = packed();
         assert_eq!(layout.pool_off, 0);
-        assert_eq!(layout.rx_off - layout.tx_off, 128 + 64 * 16);
+        assert_eq!(layout.bell_off - layout.tx_off, 128 + 64 * 16);
+        assert_eq!(layout.rx_off - layout.bell_off, 64, "a line of its own");
         assert_eq!(
             layout.seg_len - layout.rx_off,
-            layout.rx_off - layout.tx_off
+            layout.bell_off - layout.tx_off
         );
         assert!(layout.tx_off.is_multiple_of(64) && layout.rx_off.is_multiple_of(64));
         // 48 descriptors: not a power of two.
         assert!(SessionLayout::pack(&PoolConfig::new(1, 64, 8), 48).is_err());
         // Capacity 2 needs 128 + 32 bytes: rounded up to 192.
         let small = SessionLayout::pack(&PoolConfig::new(1, 64, 8), 2).unwrap();
-        assert_eq!(small.rx_off - small.tx_off, 192);
+        assert_eq!(small.bell_off - small.tx_off, 192);
     }
 
     /// Each crafted ack used to reach an `assert!`, an arithmetic
@@ -262,7 +304,7 @@ mod tests {
     #[test]
     fn malformed_acks_are_protocol_errors_not_panics() {
         type Corrupt = fn(&mut SessionLayout);
-        let crafted: [(&str, Corrupt); 9] = [
+        let crafted: [(&str, Corrupt); 12] = [
             ("tx ring before the pool", |a| a.pool_off = a.tx_off + 64),
             ("capacity whose byte size wraps", |a| {
                 a.ring_capacity = 1 << 60
@@ -274,6 +316,9 @@ mod tests {
             ("tx offset that overflows", |a| a.tx_off = usize::MAX - 7),
             ("misaligned ring", |a| a.rx_off += 4),
             ("misaligned pool", |a| a.pool_off = 4),
+            ("misaligned bell", |a| a.bell_off += 4),
+            ("bell inside a ring", |a| a.bell_off = a.rx_off + 128),
+            ("bell past the segment", |a| a.bell_off = a.seg_len),
         ];
         for (what, corrupt) in crafted {
             let mut layout = packed();

@@ -10,16 +10,21 @@
 //!    drop` loop performs no heap allocation in this process (counting
 //!    global allocator), mirroring `crates/telemetry/tests/overhead.rs`.
 //!
+//! Before the stream starts, the idle path: the daemon of a silent
+//! session parks, the first emit wakes it with exactly one `bell` line,
+//! and traffic that keeps it polling writes (almost) no more.
+//!
 //! One `#[test]` only: the allocation counter is global, and a second
 //! concurrent test would pollute it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use insane_ipc::server::{BACKSTOP, SPIN_WINDOW};
 use insane_ipc::IpcClient;
+
+mod common;
+use common::{await_stats, round_trip, spawn_daemon};
 
 /// Counts every heap allocation made through the global allocator.
 struct CountingAlloc;
@@ -56,51 +61,52 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// Spawns `insaned` on a unique socket and waits for its ready line.
-fn spawn_daemon(tag: &str) -> (Child, PathBuf) {
-    let socket = std::env::temp_dir().join(format!("insane-e2e-{tag}-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&socket);
-    let mut child = Command::new(env!("CARGO_BIN_EXE_insaned"))
-        .args(["--socket"])
-        .arg(&socket)
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn insaned");
-    let stdout = child.stdout.take().expect("daemon stdout");
-    let mut ready = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut ready)
-        .expect("daemon ready line");
-    assert!(
-        ready.starts_with("insaned listening on"),
-        "unexpected ready line: {ready:?}"
-    );
-    (child, socket)
-}
-
 const MESSAGES: u64 = 120_000;
 
 #[test]
 fn cross_process_datapath_is_ordered_zero_copy_and_allocation_free() {
-    let (mut daemon, socket) = spawn_daemon("datapath");
+    let (mut daemon, socket) = spawn_daemon("e2e-datapath");
 
     let mut client = IpcClient::attach(&socket, "e2e", "fast").expect("attach");
     let stream = client.create_stream("seq").expect("stream");
 
-    // Warm up: one full round trip so any lazy one-time allocation in
-    // the path happens before the counter snapshot.
-    {
-        let mut guard = client.lend(8).expect("warmup lend");
-        guard.copy_from_slice(&0u64.to_le_bytes());
-        client.emit(stream, guard).expect("warmup emit");
-        loop {
-            if let Some((_, view)) = client.try_recv() {
-                drop(view);
-                break;
-            }
-            std::thread::yield_now();
+    // Nothing emitted yet: the daemon polls for one spin window, parks.
+    // (A park counted *since the attach*: the attach itself woke it.)
+    let attached = client.daemon_stats().expect("daemon stats");
+    let parked = await_stats(&mut client, "parked", |s| s.parks > attached.parks);
+    assert_eq!((parked.forwarded, parked.bells), (0, 0));
+    // Had the attach's wake found it polling, that park returned at once
+    // on the left-over token; it is in the next one by now.
+    std::thread::sleep(SPIN_WINDOW);
+
+    // Warm up: full round trips (sequence number 0 throughout) so any
+    // lazy one-time allocation in the path happens before the counter
+    // snapshot.  The first finds the daemon parked and rings, once; it
+    // is back long before the park's own time-out would have fetched it
+    // (typically in ≈ 50 µs; the bound leaves room for a busy host).
+    let woke_in = round_trip(&client, stream, 0);
+    assert!(woke_in < BACKSTOP / 2, "wake took {woke_in:?}");
+    let woken = client.daemon_stats().expect("daemon stats");
+    assert_eq!((woken.forwarded, woken.bells), (1, 1));
+    // Back to back, the daemon never leaves its spin window: no `bell`
+    // per message.  Each stats request may let it park once, and a host
+    // that stalls this thread for a spin window does too, so a noisy
+    // thousand gets two more tries; a `bell` per message fails all three.
+    let mut rung = Vec::new();
+    for _ in 0..3 {
+        let before = client.daemon_stats().expect("daemon stats").bells;
+        for _ in 0..1000 {
+            round_trip(&client, stream, 0);
+        }
+        rung.push(client.daemon_stats().expect("daemon stats").bells - before);
+        if rung.last() <= Some(&10) {
+            break;
         }
     }
+    assert!(
+        rung.last() <= Some(&10),
+        "a polling daemon was rung {rung:?} times per 1000 round trips"
+    );
 
     let stats_before = client.pool().stats();
     assert_eq!(stats_before.in_use, 0, "warmup leaked a checkout");
@@ -165,7 +171,7 @@ fn cross_process_datapath_is_ordered_zero_copy_and_allocation_free() {
     // Clean shutdown: daemon exits and removes its socket.
     client.request_shutdown().expect("shutdown request");
     client.detach().expect("detach");
-    let status = daemon.wait().expect("daemon exit");
+    let status = daemon.0.wait().expect("daemon exit");
     assert!(status.success(), "daemon exited with {status:?}");
     assert!(
         !socket.exists(),

@@ -20,6 +20,9 @@
 //! * [`snapshot`] — a published-snapshot cell (atomic `Arc` pointer swap)
 //!   for read-mostly control state: writers publish a complete new value,
 //!   hot-path readers pay one atomic load per poll iteration.
+//! * [`bell`] — the doorbell word beside a polled ring: a consumer about
+//!   to stop polling arms it, and the producer's next push finds out that
+//!   it must wake it ([`Bell`]).
 //!
 //! All queues are fixed-capacity: the middleware never allocates on the data
 //! path after startup.
@@ -44,6 +47,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod bell;
 pub mod free_stack;
 pub mod mpmc;
 pub mod ring;
@@ -51,6 +55,7 @@ pub mod snapshot;
 #[doc(hidden)]
 pub mod sync;
 
+pub use bell::Bell;
 pub use free_stack::{FreeList, FreeStack};
 pub use mpmc::MpmcQueue;
 pub use ring::{channel, ring_bytes, Descriptor, Receiver, Sender, ShmConsumer, ShmProducer};

@@ -6,7 +6,8 @@
 //! checker explores exercises the real queue code (see DESIGN.md §7).
 #![cfg(loom)]
 
-use insane_queues::{channel, FreeStack, MpmcQueue};
+use insane_queues::{channel, Bell, FreeStack, MpmcQueue};
+use loom::sync::atomic::{AtomicU32, Ordering};
 use loom::sync::Arc;
 use loom::thread;
 
@@ -45,6 +46,52 @@ fn ring_preserves_fifo_across_wraparound() {
         producer.join().unwrap();
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
         assert!(rx.pop().is_none());
+    });
+}
+
+/// Bell: the park/wake handshake of `insane-ipc`'s datapath, in the order
+/// `server::run_datapath` and `client::emit_on` perform it.  The producer
+/// pushes, then rings if the bell is armed; the consumer polls, and on an
+/// empty ring arms the bell, polls once more, and only then blocks.
+/// `token` stands in for `Thread::unpark`'s sticky token.  The property:
+/// the consumer never blocks with a descriptor in the ring and no wake
+/// pending — whichever of its two polls the push falls behind, either
+/// that poll or the producer's test of the bell catches it.
+#[test]
+fn bell_never_loses_a_wake() {
+    loom::model(|| {
+        let (tx, rx) = channel::<u32>(2);
+        let word = Arc::new(AtomicU32::new(0));
+        let token = Arc::new(AtomicU32::new(0));
+        let producer = {
+            let (word, token) = (Arc::clone(&word), Arc::clone(&token));
+            thread::spawn(move || {
+                tx.push(7).unwrap();
+                if Bell::new(&word).ring_if_armed() {
+                    token.store(1, Ordering::SeqCst);
+                }
+            })
+        };
+        let bell = Bell::new(&word);
+        let polled = rx.pop().or_else(|| {
+            bell.arm();
+            rx.pop()
+        });
+        // Both polls missed, so this is where the consumer blocks.  The
+        // push was still to come at the second poll, hence so was the
+        // producer's look at the bell, armed before it: once the
+        // producer is through, the token must be there.
+        producer.join().unwrap();
+        if polled.is_none() {
+            assert_eq!(
+                token.load(Ordering::SeqCst),
+                1,
+                "parked on a non-empty ring with no wake on its way"
+            );
+            bell.disarm();
+            assert_eq!(rx.pop(), Some(7));
+        }
+        assert_eq!(rx.pop(), None);
     });
 }
 

@@ -282,8 +282,8 @@ pub const BENCH_FILES: &[BenchSpec] = &[
             rule(Positive(&["bound_x1000"]), ZERO_BOUND),
             rule(
                 Ascending(&["ratio_x1000", "bound_x1000"]),
-                "process-split overhead: the cross/in-process p99 ratio exceeds the bound (both in \
-                 thousandths)",
+                "process-split overhead: the cross/in-process ratio of the round-trip medians \
+                 exceeds the bound (both in thousandths)",
             ),
             rule(
                 Positive(&["attach_ns"]),

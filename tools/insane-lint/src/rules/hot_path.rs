@@ -93,6 +93,7 @@ const BLOCK_METHODS: &[&str] = &[
 const BLOCK_PATHS: &[(&str, &str)] = &[
     ("thread", "sleep"),
     ("thread", "park"),
+    ("thread", "park_timeout"),
     ("thread", "yield_now"),
 ];
 

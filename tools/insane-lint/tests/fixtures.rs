@@ -70,6 +70,12 @@ fn bad_v2_fixture_trips_every_new_rule() {
             && v.message.contains("poll_hot")),
         "call-graph provenance missing from hot-path-alloc: {violations:#?}"
     );
+    assert!(
+        violations
+            .iter()
+            .any(|v| v.rule == "hot-path-block" && v.message.contains("thread::park_timeout")),
+        "a timed park on the hot path went unnoticed: {violations:#?}"
+    );
 }
 
 #[test]

@@ -26,6 +26,7 @@ fn drain_step(p: &Pools) {
     grown.push(1u32);
     let g = p.a.lock().unwrap(); // hot-path-block (+ unwrap panic)
     drop(g);
+    std::thread::park_timeout(std::time::Duration::from_millis(1)); // hot-path-block: a timed park still parks
 }
 
 /// Also unannotated: reached from `poll_hot` through the call graph.
