@@ -17,7 +17,7 @@
 
 use parking_lot::Mutex;
 
-use insane_fabric::devices::{RecvMode, SimUdpSocket};
+use insane_fabric::devices::SimUdpSocket;
 use insane_fabric::time::{scale_ns, spin_for_ns, Jitter};
 use insane_fabric::{Endpoint, Fabric, FabricError, HostId};
 
@@ -139,7 +139,7 @@ impl CycloneLite {
     /// * [`BaselineError::WouldBlock`] when nothing arrived.
     /// * [`BaselineError::Malformed`] for non-RTPS bytes.
     pub fn poll(&self) -> Result<Sample, BaselineError> {
-        let datagram = match self.socket.recv(RecvMode::NonBlocking) {
+        let datagram = match self.socket.try_recv() {
             Ok(d) => d,
             Err(FabricError::WouldBlock) => return Err(BaselineError::WouldBlock),
             Err(e) => return Err(e.into()),
@@ -258,7 +258,7 @@ mod tests {
             let t0 = Instant::now();
             sa.send_to(&[1u8; 64], sb.local_addr()).unwrap();
             loop {
-                match sb.recv(RecvMode::NonBlocking) {
+                match sb.try_recv() {
                     Ok(_) => break,
                     Err(FabricError::WouldBlock) => {}
                     Err(e) => panic!("{e}"),

@@ -13,7 +13,7 @@
 
 use parking_lot::Mutex;
 
-use insane_fabric::devices::{RecvMode, SimUdpSocket};
+use insane_fabric::devices::SimUdpSocket;
 use insane_fabric::{Endpoint, Fabric, FabricError, HostId};
 use insane_netstack::fragment::{plan, MessageKey, Reassembler};
 
@@ -136,7 +136,7 @@ impl SendfileReceiver {
     pub fn poll_frames(&self) -> Result<Vec<(u64, Vec<u8>)>, BaselineError> {
         let mut done = Vec::new();
         loop {
-            let datagram = match self.socket.recv(RecvMode::NonBlocking) {
+            let datagram = match self.socket.try_recv() {
                 Ok(d) => d,
                 Err(FabricError::WouldBlock) => break,
                 Err(e) => return Err(e.into()),

@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 
 use parking_lot::Mutex;
 
-use insane_fabric::devices::{RecvMode, SimUdpSocket};
+use insane_fabric::devices::SimUdpSocket;
 use insane_fabric::time::{scale_ns, spin_for_ns, Jitter};
 use insane_fabric::{Endpoint, Fabric, FabricError, HostId};
 
@@ -128,7 +128,7 @@ impl ZmqLite {
     /// incoming pipe.  Returns how many messages were moved.
     pub fn drive_io_rx(&self) -> usize {
         let mut moved = 0;
-        while let Ok(datagram) = self.socket.recv(RecvMode::NonBlocking) {
+        while let Ok(datagram) = self.socket.try_recv() {
             self.in_pipe.lock().push_back(datagram.payload);
             moved += 1;
         }

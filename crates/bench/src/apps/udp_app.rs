@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use insane_fabric::devices::{RecvMode, SimUdpSocket};
+use insane_fabric::devices::SimUdpSocket;
 use insane_fabric::{Endpoint, Fabric, FabricError, HostId, TestbedProfile};
 
 /// Measured results of one run.
@@ -46,7 +46,7 @@ impl Peer {
 
     fn recv_busy(&self, expect_seq: u32) -> Vec<u8> {
         loop {
-            match self.socket.recv(RecvMode::NonBlocking) {
+            match self.socket.try_recv() {
                 Ok(datagram) => {
                     let bytes = datagram.payload;
                     if bytes.len() < 5 || bytes[0] != MSG_MAGIC {

@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use insane_core::{ConsumeMode, InsaneError, QosPolicy, Technology};
 use insane_demikernel::{Backend, DemiEvent, Demikernel};
-use insane_fabric::devices::{DpdkPort, RecvMode, SimUdpSocket};
+use insane_fabric::devices::{DpdkPort, SimUdpSocket};
 use insane_fabric::{Endpoint, Fabric, FabricError, TestbedProfile};
 use insane_telemetry::Value;
 
@@ -153,7 +153,7 @@ fn udp_rtt(
             Ok(socket.recv_blocking_emulated()?.payload)
         } else {
             loop {
-                match socket.recv(RecvMode::NonBlocking) {
+                match socket.try_recv() {
                     Ok(d) => break Ok(d.payload),
                     Err(FabricError::WouldBlock) => core::hint::spin_loop(),
                     Err(e) => break Err(e.into()),

@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use insane_core::{ConsumeMode, InsaneError, QosPolicy, Technology};
 use insane_demikernel::{Backend, DemiEvent, Demikernel};
-use insane_fabric::devices::{DpdkPort, RecvMode, SimUdpSocket};
+use insane_fabric::devices::{DpdkPort, SimUdpSocket};
 use insane_fabric::{Endpoint, Fabric, FabricError, TestbedProfile};
 use insane_telemetry::Value;
 
@@ -274,7 +274,7 @@ fn udp_rx_ns(profile: &TestbedProfile, payload: usize, n: usize) -> Result<u64, 
         let t0 = Instant::now();
         let mut got = 0;
         while got < round {
-            match rx.recv(RecvMode::NonBlocking) {
+            match rx.try_recv() {
                 Ok(_) => got += 1,
                 Err(FabricError::WouldBlock) => core::hint::spin_loop(),
                 Err(e) => return Err(e.into()),

@@ -15,14 +15,12 @@
 //! | `consume_data`         | [`Sink::consume`] |
 //! | `release_buffer`       | dropping the [`IncomingMessage`] |
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use insane_fabric::Technology;
 use insane_memory::SlotGuard;
-use insane_queues::MpmcQueue;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::qos::QosPolicy;
 use crate::runtime::internals::{Delivery, OutcomeBoard, SinkShared, StreamShared, TxRequest};
@@ -274,22 +272,17 @@ impl Stream {
         }
         let inner = self.runtime.inner();
         let has_callback = callback.is_some();
-        let shared = Arc::new(SinkShared {
-            id: inner.next_id(),
-            channel: channel.0,
-            queue: MpmcQueue::new(inner.config().sink_queue_depth),
-            wake_lock: Mutex::new(()),
-            wake: Condvar::new(),
+        let shared = Arc::new(SinkShared::new(
+            inner.next_id(),
+            channel.0,
+            inner.config().sink_queue_depth,
             callback,
-            closed: AtomicBool::new(false),
-            received: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            telemetry: inner.telemetry_stream(
+            inner.telemetry_stream(
                 channel.0,
                 self.shared.qos.time_sensitivity.traffic_class(),
                 self.shared.tenant,
             ),
-        });
+        ));
         inner.register_sink(Arc::clone(&shared));
         Ok(Sink {
             runtime: self.runtime.clone(),
@@ -498,6 +491,10 @@ pub struct SinkStats {
     pub received: u64,
     /// Messages dropped because the sink queue was full.
     pub dropped: u64,
+    /// Deliveries that found a consumer parked in a blocking
+    /// [`Sink::consume`] and paid to wake it; every other delivery makes
+    /// no syscall.
+    pub wakes: u64,
 }
 
 /// A consumer endpoint (`create_sink`).
@@ -524,6 +521,7 @@ impl Sink {
         SinkStats {
             received: self.shared.received.load(Ordering::Relaxed),
             dropped: self.shared.dropped.load(Ordering::Relaxed),
+            wakes: self.shared.wakes.load(Ordering::Relaxed),
         }
     }
 
@@ -539,7 +537,6 @@ impl Sink {
     ///   manually-driven runtime (it would deadlock).
     /// * [`InsaneError::Closed`] when the sink closes mid-wait.
     // insane-lint: hot-path-root
-    // insane-lint: allow-fn(hot-path-block) -- waiting is the caller's opt-in (ConsumeMode::Blocking); the non-blocking path returns before any lock
     pub fn consume(&self, mode: ConsumeMode) -> Result<IncomingMessage, InsaneError> {
         if self.has_callback {
             return Err(InsaneError::CallbackSink);
@@ -562,14 +559,8 @@ impl Sink {
                     {
                         return Err(InsaneError::Closed);
                     }
-                    let mut guard = self.shared.wake_lock.lock();
-                    // Recheck under the lock to avoid a lost wakeup.
-                    if !self.shared.queue.is_empty() {
-                        continue;
-                    }
-                    self.shared
-                        .wake
-                        .wait_for(&mut guard, Duration::from_millis(1));
+                    // insane-lint: allow(hot-path-block) -- waiting is the caller's opt-in (ConsumeMode::Blocking); the non-blocking path returned above
+                    self.shared.park();
                 }
             }
         }
@@ -643,6 +634,6 @@ impl core::ops::Deref for IncomingMessage {
 
     fn deref(&self) -> &[u8] {
         let delivery = &*self.delivery;
-        &delivery.store.bytes()[delivery.offset..delivery.offset + delivery.len]
+        &delivery.store.as_slice()[delivery.offset..delivery.offset + delivery.len]
     }
 }

@@ -292,7 +292,7 @@ impl RuntimeInner {
     // insane-lint: cold-path -- control messages are rare by design
     pub(super) fn handle_control(&self, msg: &InboundMsg) {
         self.stats.control_messages.fetch_add(1, Ordering::Relaxed);
-        let payload = &msg.store.bytes()[msg.payload_offset..];
+        let payload = &msg.store.as_slice()[msg.payload_offset..];
         let Some((op, peer_host, peer_mask)) = decode_control(payload) else {
             self.stats.rx_rejected.fetch_add(1, Ordering::Relaxed);
             return;

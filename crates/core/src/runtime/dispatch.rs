@@ -329,9 +329,6 @@ impl Dispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use insane_queues::MpmcQueue;
-    use parking_lot::{Condvar, Mutex};
-    use std::sync::atomic::AtomicU64;
 
     /// Remote targets of `channel`, read the way the engine reads them.
     fn remote_targets(d: &Dispatcher, channel: u32) -> Vec<(HostId, TechMask)> {
@@ -348,18 +345,13 @@ mod tests {
     }
 
     fn sink(id: u64, channel: u32) -> Arc<SinkShared> {
-        Arc::new(SinkShared {
+        Arc::new(SinkShared::new(
             id,
             channel,
-            queue: MpmcQueue::new(4),
-            wake_lock: Mutex::new(()),
-            wake: Condvar::new(),
-            callback: None,
-            closed: std::sync::atomic::AtomicBool::new(false),
-            received: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            telemetry: crate::telemetry::SinkTel::none(),
-        })
+            4,
+            None,
+            crate::telemetry::SinkTel::none(),
+        ))
     }
 
     #[test]

@@ -7,16 +7,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use insane_fabric::HostId;
+use insane_fabric::{HostId, Payload};
 use insane_memory::{SlotView, TenantId};
 use insane_netstack::insane_hdr::{InsaneHeader, MessageKind};
 use insane_tsn::{Scheduler, TrafficClass};
 use parking_lot::Mutex;
 
 use crate::runtime::dispatch::{mask_supports, RoutingTable, TechMask};
-use crate::runtime::internals::{
-    Delivery, OutcomeBoard, PayloadStore, SinkShared, StreamShared, TxRequest,
-};
+use crate::runtime::internals::{Delivery, OutcomeBoard, SinkShared, StreamShared, TxRequest};
 use crate::runtime::plugins::{InboundMsg, WireMsg};
 use crate::runtime::tunables::Tunables;
 use crate::runtime::{shard, RuntimeInner};
@@ -673,7 +671,7 @@ impl RuntimeInner {
             // Fan-out cost: one hop charge covering every sink delivery.
             self.hops.charge_batch(sinks.len() as u64);
             let local = |view| Delivery {
-                store: PayloadStore::View(view),
+                store: Payload::Pooled(view),
                 offset: PAYLOAD_OFFSET,
                 len: req.payload_len,
                 meta,
@@ -884,7 +882,7 @@ impl RuntimeInner {
         if sinks.is_empty() {
             return; // no subscriber on this host anymore
         }
-        let payload_len = msg.store.bytes().len().saturating_sub(msg.payload_offset);
+        let payload_len = msg.store.len().saturating_sub(msg.payload_offset);
         let meta = MessageMeta {
             channel: msg.hdr.channel,
             seq: msg.hdr.seq,

@@ -7,11 +7,13 @@
 //! delivery dropped anywhere — refused, unrouted, left in a queue that
 //! dies — gives its slot back (DESIGN.md §6.9).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-use insane_memory::{SlotGuard, SlotView};
-use insane_queues::MpmcQueue;
+use insane_fabric::Payload;
+use insane_memory::SlotGuard;
+use insane_queues::{Bell, MpmcQueue};
 use insane_tsn::TrafficClass;
 use parking_lot::{Condvar, Mutex};
 
@@ -47,31 +49,17 @@ pub(crate) struct TxRequest {
     pub outcome: Arc<OutcomeBoard>,
 }
 
-/// Where delivered payload bytes live.  Not `Clone`: sinks share the one
-/// [`Delivery`] that wraps it, and the slot's state word counts the rest.
-#[derive(Debug)]
-pub(crate) enum PayloadStore {
-    /// Zero-copy view into a slot pool (possibly on the "remote" host —
-    /// the fabric models DMA delivery).
-    View(SlotView),
-    /// Owned bytes (kernel datapath, which copies anyway).
-    Owned(Box<[u8]>),
-}
-
-impl PayloadStore {
-    pub(crate) fn bytes(&self) -> &[u8] {
-        match self {
-            PayloadStore::View(v) => v,
-            PayloadStore::Owned(b) => b,
-        }
-    }
-}
-
-/// One message queued for a sink.
+/// One message queued for a sink.  [`Payload`] is not `Clone`: sinks
+/// share the one `Delivery` that wraps it, and a pooled slot's state word
+/// counts the rest.
 #[derive(Debug)]
 pub(crate) struct Delivery {
-    pub store: PayloadStore,
-    /// Payload range within `store.bytes()`.
+    /// The bytes as the device delivered them: a zero-copy slot view
+    /// (possibly into a pool on the "remote" host — the fabric models DMA
+    /// delivery), or owned bytes from the kernel datapath, which copies
+    /// anyway.
+    pub store: Payload,
+    /// Payload range within `store.as_slice()`.
     pub offset: usize,
     pub len: usize,
     pub meta: MessageMeta,
@@ -156,12 +144,20 @@ pub(crate) struct SinkShared {
     /// Deliveries are shared: fanning one message out to many sinks
     /// clones a pointer, not the descriptor.
     pub queue: MpmcQueue<Arc<Delivery>>,
-    pub wake_lock: Mutex<()>,
-    pub wake: Condvar,
+    /// The [`Bell`] word: 1 while a consumer is parked (or about to be)
+    /// in [`SinkShared::park`].  Only a delivery that finds it armed
+    /// touches the two fields below.
+    bell: AtomicU32,
+    /// Consumers inside [`SinkShared::park`]; the lock is the one `wake`
+    /// waits on.
+    parked: Mutex<u32>,
+    wake: Condvar,
     pub callback: Option<SinkCallback>,
     pub closed: AtomicBool,
     pub received: AtomicU64,
     pub dropped: AtomicU64,
+    /// Deliveries that found the bell armed and paid for a wake.
+    pub wakes: AtomicU64,
     /// Per-stream telemetry recorder handle (inert when disabled).
     pub telemetry: crate::telemetry::SinkTel,
 }
@@ -180,8 +176,32 @@ impl std::fmt::Debug for SinkShared {
 }
 
 impl SinkShared {
+    pub(crate) fn new(
+        id: u64,
+        channel: u32,
+        queue_depth: usize,
+        callback: Option<SinkCallback>,
+        telemetry: crate::telemetry::SinkTel,
+    ) -> Self {
+        Self {
+            id,
+            channel,
+            queue: MpmcQueue::new(queue_depth),
+            bell: AtomicU32::new(0),
+            parked: Mutex::new(0),
+            wake: Condvar::new(),
+            callback,
+            closed: AtomicBool::new(false),
+            received: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+            wakes: AtomicU64::new(0),
+            telemetry,
+        }
+    }
+
     /// Delivers one message, invoking the callback inline or queueing.
     /// Returns false when the message was dropped (queue full / closed).
+    /// Makes no syscall unless a consumer is parked (DESIGN.md §6.10).
     // insane-lint: allow-fn(hot-path-alloc) -- the sink queue is a fixed-capacity MPMC ring; push never allocates
     pub(crate) fn deliver(&self, delivery: Arc<Delivery>) -> bool {
         if self.closed.load(Ordering::Acquire) {
@@ -196,7 +216,10 @@ impl SinkShared {
         match self.queue.push(delivery) {
             Ok(()) => {
                 self.received.fetch_add(1, Ordering::Relaxed);
-                self.wake.notify_one();
+                if Bell::new(&self.bell).ring_if_armed() {
+                    self.wakes.fetch_add(1, Ordering::Relaxed);
+                    self.wake_parked();
+                }
                 true
             }
             Err(_) => {
@@ -206,9 +229,44 @@ impl SinkShared {
         }
     }
 
+    /// The waker's half of the bell protocol.  A Condvar wake is not
+    /// sticky, so it must not land between a parker's re-check and its
+    /// wait: taking the lock — which the parker holds from before it arms
+    /// until the wait releases it — puts the wake after the wait began.
+    /// `notify_all`, because the bell is test-and-clear and the queue is
+    /// MPMC: every consumer parked behind this one arm wakes and
+    /// re-checks, since no later delivery would ring for it.
+    // insane-lint: cold-path -- runs only when a consumer armed the bell (it chose to sleep), or at close
+    #[cold]
+    fn wake_parked(&self) {
+        drop(self.parked.lock());
+        self.wake.notify_all();
+    }
+
+    /// The consumer's half: arm, re-check, sleep, in that order and under
+    /// the lock (see [`SinkShared::wake_parked`]).  Returns after a wake,
+    /// after 1 ms at the latest — the backstop for what rings no bell (the
+    /// runtime stopping) — or at once if the re-check finds something; the
+    /// caller re-polls in every case.  The last consumer out disarms: one
+    /// that disarmed while another still slept would erase its arm.
+    // insane-lint: cold-path -- the consumer found its queue empty and chose to sleep
+    pub(crate) fn park(&self) {
+        let mut parked = self.parked.lock();
+        let bell = Bell::new(&self.bell);
+        *parked += 1;
+        bell.arm();
+        if self.queue.is_empty() && !self.closed.load(Ordering::Acquire) {
+            self.wake.wait_for(&mut parked, Duration::from_millis(1));
+        }
+        *parked -= 1;
+        if *parked == 0 {
+            bell.disarm();
+        }
+    }
+
     pub(crate) fn close(&self) {
         self.closed.store(true, Ordering::Release);
-        self.wake.notify_all();
+        self.wake_parked();
     }
 }
 
@@ -346,21 +404,10 @@ mod tests {
 
     #[test]
     fn closed_sink_drops_and_counts() {
-        let sink = SinkShared {
-            id: 1,
-            channel: 9,
-            queue: MpmcQueue::new(4),
-            wake_lock: Mutex::new(()),
-            wake: Condvar::new(),
-            callback: None,
-            closed: AtomicBool::new(false),
-            received: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            telemetry: crate::telemetry::SinkTel::none(),
-        };
+        let sink = SinkShared::new(1, 9, 4, None, crate::telemetry::SinkTel::none());
         sink.close();
         let delivery = Arc::new(Delivery {
-            store: PayloadStore::Owned(Box::new([1u8, 2])),
+            store: Payload::Inline(Box::new([1u8, 2])),
             offset: 0,
             len: 2,
             meta: crate::stats::MessageMeta {

@@ -11,7 +11,7 @@ use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use insane_fabric::devices::{DpdkPort, RdmaNic, RecvMode, SimUdpSocket, XdpSocket};
+use insane_fabric::devices::{DpdkPort, RdmaNic, SimUdpSocket, XdpSocket};
 use insane_fabric::{Endpoint, Fabric, FabricError, HostId, Payload, Technology};
 use insane_memory::SlotView;
 use insane_netstack::ether::MacAddr;
@@ -21,7 +21,6 @@ use insane_netstack::packet::{PacketBuilder, PacketView};
 use insane_queues::SnapshotCell;
 use parking_lot::Mutex;
 
-use crate::runtime::internals::PayloadStore;
 use crate::stats::RuntimeStats;
 use crate::{epoch_ns, InsaneError, INSANE_HDR_OFFSET, PAYLOAD_OFFSET};
 
@@ -39,9 +38,9 @@ pub(crate) fn tech_port_offset(tech: Technology) -> u16 {
 /// A message received by a plugin, ready for dispatch.
 #[derive(Debug)]
 pub(crate) struct InboundMsg {
-    pub store: PayloadStore,
+    pub store: Payload,
     pub hdr: InsaneHeader,
-    /// Payload offset within `store.bytes()`.
+    /// Payload offset within `store.as_slice()`.
     pub payload_offset: usize,
     /// Wire time reported by the device.
     pub wire_ns: u64,
@@ -110,13 +109,6 @@ fn accepted(result: Result<usize, FabricError>) -> Result<usize, InsaneError> {
     }
 }
 
-fn store_of(payload: Payload) -> PayloadStore {
-    match payload {
-        Payload::Pooled(view) => PayloadStore::View(view),
-        Payload::Inline(bytes) => PayloadStore::Owned(bytes),
-    }
-}
-
 /// TX body of the Ethernet-framed plugins (DPDK, XDP) — the packet
 /// processing engine: userspace Ethernet/IPv4/UDP framing around
 /// `[InsaneHeader][payload]`, all in place.  Sealing precedes the
@@ -146,12 +138,11 @@ fn frame_ethernet(
 fn accept_ethernet(
     out: &mut Vec<InboundMsg>,
     stats: &RuntimeStats,
-    payload: Payload,
+    store: Payload,
     wire_ns: u64,
     received_ns: u64,
 ) -> bool {
-    let store = store_of(payload);
-    let parsed = PacketView::parse(store.bytes())
+    let parsed = PacketView::parse(store.as_slice())
         .ok()
         .map(|view| view.payload())
         .filter(|insane| checksum_ok(insane))
@@ -245,7 +236,7 @@ impl DatapathPlugin for UdpPlugin {
     fn poll_rx(&self, out: &mut Vec<InboundMsg>, max: usize) -> usize {
         let mut n = 0;
         while n < max {
-            match self.socket.recv(RecvMode::NonBlocking) {
+            match self.socket.try_recv() {
                 Ok(datagram) => {
                     let received_ns = epoch_ns();
                     let hdr = parse_insane(&datagram.payload, 0)
@@ -256,7 +247,7 @@ impl DatapathPlugin for UdpPlugin {
                         continue;
                     };
                     out.push(InboundMsg {
-                        store: PayloadStore::Owned(datagram.payload.into_boxed_slice()),
+                        store: Payload::Inline(datagram.payload.into_boxed_slice()),
                         hdr,
                         payload_offset: insane_netstack::insane_hdr::HEADER_LEN,
                         wire_ns: datagram.wire_ns,
@@ -586,18 +577,17 @@ impl DatapathPlugin for RdmaPlugin {
             qp.poll_cq(&mut completions, max - n);
             let received_ns = epoch_ns();
             for completion in completions.drain(..) {
-                let Some(payload) = completion.payload else {
+                let Some(store) = completion.payload else {
                     continue; // send completion
                 };
                 // Replenish the receive queue.
                 qp.post_recv(completion.wr_id);
                 let wire_ns = completion.wire_ns;
-                let store = store_of(payload);
                 let sealed_ok = store
-                    .bytes()
+                    .as_slice()
                     .get(INSANE_HDR_OFFSET..)
                     .is_some_and(checksum_ok);
-                let hdr = parse_insane(store.bytes(), INSANE_HDR_OFFSET).filter(|_| sealed_ok);
+                let hdr = parse_insane(store.as_slice(), INSANE_HDR_OFFSET).filter(|_| sealed_ok);
                 let Some(hdr) = hdr else {
                     self.stats.rx_rejected.fetch_add(1, Ordering::Relaxed);
                     continue;

@@ -392,6 +392,96 @@ fn blocking_consume_on_manual_runtime_is_refused() {
     ));
 }
 
+/// A started single-host runtime with a source and a sink on one
+/// channel: the shape of the three park/wake tests below.
+fn threaded_local_pair() -> (Runtime, Session, insane_core::Source, insane_core::Sink) {
+    let fabric = Fabric::new(TestbedProfile::local());
+    let host = fabric.add_host("solo");
+    let rt = Runtime::start(
+        RuntimeConfig::new(1).with_threading(ThreadingMode::Shared),
+        &fabric,
+        host,
+    )
+    .unwrap();
+    let session = Session::connect(&rt).unwrap();
+    let stream = session.create_stream(QosPolicy::default()).unwrap();
+    let source = stream.create_source(ChannelId(5)).unwrap();
+    let sink = stream.create_sink(ChannelId(5)).unwrap();
+    (rt, session, source, sink)
+}
+
+/// A blocking consume, as the parked consumer threads below run it.
+fn consume_parked(sink: &insane_core::Sink) -> Result<Vec<u8>, InsaneError> {
+    sink.consume(ConsumeMode::Blocking).map(|msg| msg.to_vec())
+}
+
+fn emit_bytes(source: &insane_core::Source, bytes: &[u8]) {
+    let mut buf = source.get_buffer(bytes.len()).unwrap();
+    buf.copy_from_slice(bytes);
+    source.emit(buf).unwrap();
+}
+
+#[test]
+fn polled_sink_never_pays_for_a_wake() {
+    let (_fabric, rt_a, rt_b) = two_node_setup(&[Technology::Dpdk]);
+    let session_a = Session::connect(&rt_a).unwrap();
+    let session_b = Session::connect(&rt_b).unwrap();
+    let stream_a = session_a.create_stream(QosPolicy::fast()).unwrap();
+    let stream_b = session_b.create_stream(QosPolicy::fast()).unwrap();
+    let sink = stream_b.create_sink(ChannelId(4)).unwrap();
+    poll_until_quiescent(&[&rt_a, &rt_b], 10_000);
+    let source = stream_a.create_source(ChannelId(4)).unwrap();
+    for i in 0..1_000u32 {
+        emit_bytes(&source, &i.to_le_bytes());
+        let msg = drive_consume(&[&rt_a, &rt_b], &sink);
+        assert_eq!(&*msg, &i.to_le_bytes());
+    }
+    let stats = sink.stats();
+    assert_eq!(stats.received, 1_000);
+    assert_eq!(stats.wakes, 0, "nobody armed the bell");
+}
+
+#[test]
+fn parked_consumers_are_woken_by_a_delivery() {
+    let (rt, _session, source, sink) = threaded_local_pair();
+    let late = std::thread::scope(|s| {
+        let consumer = s.spawn(|| consume_parked(&sink));
+        std::thread::sleep(Duration::from_millis(20));
+        emit_bytes(&source, b"late");
+        consumer.join().unwrap()
+    });
+    assert_eq!(late.unwrap(), b"late");
+    let wakes = sink.stats().wakes;
+    assert!(wakes >= 1, "the delivery found the bell armed");
+
+    // Two consumers parked behind one arm: one wake releases both (the
+    // bell is test-and-clear, so the second delivery rings for nobody).
+    let mut got = std::thread::scope(|s| {
+        let consumers = [(); 2].map(|()| s.spawn(|| consume_parked(&sink)));
+        std::thread::sleep(Duration::from_millis(20));
+        emit_bytes(&source, b"one");
+        emit_bytes(&source, b"two");
+        consumers.map(|c| c.join().unwrap().unwrap())
+    });
+    got.sort();
+    assert_eq!(got, [b"one".to_vec(), b"two".to_vec()]);
+    assert!(sink.stats().wakes > wakes);
+    rt.shutdown();
+}
+
+#[test]
+fn closing_a_sink_releases_its_parked_consumer() {
+    let (rt, _session, _source, sink) = threaded_local_pair();
+    let outcome = std::thread::scope(|s| {
+        let consumer = s.spawn(|| consume_parked(&sink));
+        std::thread::sleep(Duration::from_millis(20));
+        sink.close();
+        consumer.join().unwrap()
+    });
+    assert!(matches!(outcome, Err(InsaneError::Closed)));
+    rt.shutdown();
+}
+
 #[test]
 fn unsubscribe_stops_remote_traffic() {
     let (_fabric, rt_a, rt_b) = two_node_setup(&[Technology::KernelUdp]);

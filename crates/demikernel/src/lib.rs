@@ -58,7 +58,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use insane_fabric::devices::{DpdkPort, RecvMode, SimUdpSocket};
+use insane_fabric::devices::{DpdkPort, SimUdpSocket};
 use insane_fabric::time::{scale_ns, spin_for_ns};
 use insane_fabric::{Endpoint, Fabric, FabricError, HostId};
 
@@ -343,7 +343,7 @@ impl Demikernel {
         }
         match &queue.device {
             Device::Unbound => None,
-            Device::Catnap(socket) => match socket.recv(RecvMode::NonBlocking) {
+            Device::Catnap(socket) => match socket.try_recv() {
                 Ok(dgram) => Some((dgram.payload, dgram.from, dgram.wire_ns)),
                 Err(_) => None,
             },

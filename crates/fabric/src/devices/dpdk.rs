@@ -8,6 +8,8 @@
 //! a small per-packet driver touch — which is why batching pays (Fig. 8a)
 //! and why an lcore must busy-poll for RX.
 
+use std::time::Instant;
+
 use insane_memory::{PoolConfig, SlotGuard, SlotPool, SlotView};
 
 use crate::cost::{TechCosts, Technology};
@@ -129,7 +131,12 @@ impl DpdkPort {
         for mbuf in mbufs {
             let len = mbuf.len();
             self.charger.charge_tx_packet(len);
-            let frame = Frame::new(self.local_addr(), dst, Payload::Pooled(mbuf.into_view()));
+            let frame = Frame::new(
+                self.local_addr(),
+                dst,
+                Payload::Pooled(mbuf.into_view()),
+                Instant::now(),
+            );
             let wire = len + self.charger.costs().wire_overhead_bytes;
             self.fabric
                 .transmit(frame, wire, self.charger.costs().nic_latency_ns)?;
@@ -160,14 +167,14 @@ impl DpdkPort {
         let total_len: usize = views.iter().map(|v| v.len()).sum();
         self.charger
             .charge_tx_burst(views.len() as u64, total_len / views.len());
-        let now = std::time::Instant::now();
+        let now = Instant::now();
         let mut sent = 0;
         for view in views {
             let len = view.len();
-            let frame = Frame::new(self.local_addr(), dst, Payload::Pooled(view));
+            let frame = Frame::new(self.local_addr(), dst, Payload::Pooled(view), now);
             let wire = len + self.charger.costs().wire_overhead_bytes;
             self.fabric
-                .transmit_at(frame, wire, self.charger.costs().nic_latency_ns, now)?;
+                .transmit(frame, wire, self.charger.costs().nic_latency_ns)?;
             sent += 1;
         }
         Ok(sent)
@@ -183,7 +190,7 @@ impl DpdkPort {
         self.charger.charge_doorbell();
         let len = packet.payload.len();
         self.charger.charge_tx_packet(len);
-        let frame = Frame::new(self.local_addr(), dst, packet.payload);
+        let frame = Frame::new(self.local_addr(), dst, packet.payload, Instant::now());
         let wire = len + self.charger.costs().wire_overhead_bytes;
         self.fabric
             .transmit(frame, wire, self.charger.costs().nic_latency_ns)
@@ -196,15 +203,12 @@ impl DpdkPort {
     /// packets arrived) plus a per-packet driver cost for each packet.
     pub fn rx_burst(&self, out: &mut Vec<RxPacket>, max: usize) -> usize {
         self.charger.charge_rx_poll();
-        let mut frames = Vec::new();
-        let n = self.port.poll_burst(&mut frames, max.min(Self::MAX_BURST));
-        for frame in frames {
-            self.charger.charge_rx_packet(frame.payload.len());
-            out.push(Received {
-                wire_ns: frame.wire_ns(),
-                src: frame.src,
-                payload: frame.payload,
-            });
+        let start = out.len();
+        let n = self.port.poll_burst(out, max.min(Self::MAX_BURST));
+        // Charged after the port lock is released: a spin under it would
+        // stall the sender's enqueue.
+        for packet in &out[start..] {
+            self.charger.charge_rx_packet(packet.payload.len());
         }
         n
     }
@@ -225,7 +229,6 @@ impl Drop for DpdkPort {
 mod tests {
     use super::*;
     use crate::TestbedProfile;
-    use std::time::Instant;
 
     fn pair() -> (Fabric, DpdkPort, DpdkPort) {
         let f = Fabric::new(TestbedProfile::local());

@@ -17,12 +17,12 @@ mod xdp;
 
 pub use dpdk::{DpdkPort, RxPacket};
 pub use rdma::{Completion, CompletionOpcode, MemoryRegion, QueuePair, RdmaNic};
-pub use udp::{Datagram, RecvMode, SimUdpSocket};
+pub use udp::{Datagram, SimUdpSocket};
 pub use xdp::{XdpDesc, XdpSocket};
 
 use crate::cost::TechCosts;
 use crate::time::{scale_ns, spin_for_ns, Jitter};
-use crate::wire::{Endpoint, Payload};
+use crate::wire::{Endpoint, Frame, Payload};
 
 /// A frame received by any device: the payload, who sent it, and how long
 /// it spent on the wire (feeds the Fig. 6 latency breakdown).
@@ -34,6 +34,16 @@ pub struct Received {
     pub src: Endpoint,
     /// Wire time (serialization + propagation + switch) in nanoseconds.
     pub wire_ns: u64,
+}
+
+impl From<Frame> for Received {
+    fn from(frame: Frame) -> Self {
+        Self {
+            wire_ns: frame.wire_ns(),
+            src: frame.src,
+            payload: frame.payload,
+        }
+    }
 }
 
 /// Charges modeled CPU costs on behalf of a device, applying the testbed

@@ -14,6 +14,7 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use insane_memory::{PoolConfig, SlotGuard, SlotPool};
 
@@ -216,7 +217,12 @@ impl QueuePair {
         let len = view.len();
         self.charger.charge_tx_packet(len);
         self.charger.charge_doorbell();
-        let frame = Frame::new(self.local_addr(), remote, Payload::Pooled(view));
+        let frame = Frame::new(
+            self.local_addr(),
+            remote,
+            Payload::Pooled(view),
+            Instant::now(),
+        );
         let wire = len + self.charger.costs().wire_overhead_bytes;
         self.fabric
             .transmit(frame, wire, self.charger.costs().nic_latency_ns)?;
@@ -300,7 +306,6 @@ impl Drop for QueuePair {
 mod tests {
     use super::*;
     use crate::TestbedProfile;
-    use std::time::Instant;
 
     fn connected_pair() -> (Fabric, QueuePair, MemoryRegion, QueuePair, MemoryRegion) {
         let f = Fabric::new(TestbedProfile::local());

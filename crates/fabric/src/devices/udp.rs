@@ -3,27 +3,21 @@
 //! Every operation pays the kernel's price: a syscall per send/receive, a
 //! traversal of the kernel network stack, and a payload copy in each
 //! direction — the overheads §3 of the paper blames for kernel networking
-//! falling behind fast links.  Blocking receives additionally pay a thread
+//! falling behind fast links.  A blocking receive additionally pays a thread
 //! wake-up, which is exactly the difference between the paper's
 //! "Blocking UDP Socket" and "Non-Blocking UDP Socket" bars in Fig. 7.
+//! Here that is a *cost profile* ([`SimUdpSocket::recv_blocking_emulated`]
+//! charges the wake-up), not a sleeping thread: no receiver in the tree
+//! sleeps on the wire, so no sender pays to wake one (DESIGN.md §6.10).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 use crate::cost::{TechCosts, Technology};
 use crate::wire::{Endpoint, Fabric, Frame, HostId, Payload, PortStats};
 use crate::FabricError;
 
 use super::CostCharger;
-
-/// How [`SimUdpSocket::recv`] waits for data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvMode {
-    /// Sleep until a datagram arrives (pays the wake-up penalty).
-    Blocking,
-    /// Return [`FabricError::WouldBlock`] immediately when nothing is
-    /// ready (each attempt still pays its syscall).
-    NonBlocking,
-}
 
 /// A received datagram.
 #[derive(Debug)]
@@ -128,6 +122,7 @@ impl SimUdpSocket {
             self.local_addr(),
             dst,
             Payload::Inline(payload.to_vec().into_boxed_slice()),
+            Instant::now(),
         );
         let wire = payload.len() + self.charger.costs().wire_overhead_bytes;
         self.fabric
@@ -156,37 +151,22 @@ impl SimUdpSocket {
             self.local_addr(),
             dst,
             Payload::Inline(payload.to_vec().into_boxed_slice()),
+            Instant::now(),
         );
         let wire = payload.len() + self.charger.costs().wire_overhead_bytes;
         self.fabric
             .transmit(frame, wire, self.charger.costs().nic_latency_ns)
     }
 
-    /// Receives one datagram.
+    /// Receives one datagram if one is deliverable.  Each attempt is a
+    /// syscall, charged whether or not data is ready.
     ///
     /// # Errors
     ///
-    /// * [`FabricError::WouldBlock`] in non-blocking mode with no data.
-    /// * [`FabricError::Closed`] if the socket is closed mid-wait.
-    pub fn recv(&self, mode: RecvMode) -> Result<Datagram, FabricError> {
-        let frame = match mode {
-            RecvMode::NonBlocking => {
-                // Each poll is a syscall whether or not data is ready.
-                self.charger.charge_syscall();
-                match self.port.poll() {
-                    Some(f) => f,
-                    None => return Err(FabricError::WouldBlock),
-                }
-            }
-            RecvMode::Blocking => match self.port.poll() {
-                Some(f) => f, // data was already queued: no sleep, no wake-up
-                None => {
-                    let f = self.port.recv_blocking()?;
-                    self.charger.charge_wakeup();
-                    f
-                }
-            },
-        };
+    /// [`FabricError::WouldBlock`] with no data.
+    pub fn try_recv(&self) -> Result<Datagram, FabricError> {
+        self.charger.charge_syscall();
+        let frame = self.port.poll().ok_or(FabricError::WouldBlock)?;
         let len = frame.payload.len();
         // stack traversal + copy to userspace (the copy is real *and*
         // charged; the model constant accounts for the combination).
@@ -205,11 +185,11 @@ impl SimUdpSocket {
     ///
     /// Single-core measurement harnesses use this to reproduce the
     /// blocking-socket latency profile while driving both endpoints on
-    /// one thread (a real `recv` would deadlock the serial driver).
+    /// one thread (a sleeping receive would deadlock the serial driver).
     ///
     /// # Errors
     ///
-    /// [`FabricError::Closed`] if the socket closes while waiting.
+    /// None today; the `Result` matches [`SimUdpSocket::try_recv`].
     pub fn recv_blocking_emulated(&self) -> Result<Datagram, FabricError> {
         let frame = loop {
             if let Some(frame) = self.port.poll() {
@@ -254,7 +234,6 @@ fn payload_into_vec(payload: Payload) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::TestbedProfile;
-    use std::time::Instant;
 
     fn pair() -> (Fabric, SimUdpSocket, SimUdpSocket) {
         let f = Fabric::new(TestbedProfile::local());
@@ -265,11 +244,22 @@ mod tests {
         (f, sa, sb)
     }
 
+    /// Polls until the datagram in flight is deliverable.
+    fn recv(socket: &SimUdpSocket) -> Datagram {
+        loop {
+            match socket.try_recv() {
+                Ok(datagram) => return datagram,
+                Err(FabricError::WouldBlock) => {}
+                Err(e) => panic!("{e}"),
+            }
+        }
+    }
+
     #[test]
     fn roundtrip_payload_integrity() {
         let (_f, sa, sb) = pair();
         sa.send_to(b"datagram", sb.local_addr()).unwrap();
-        let d = sb.recv(RecvMode::Blocking).unwrap();
+        let d = recv(&sb);
         assert_eq!(d.as_slice(), b"datagram");
         assert_eq!(d.from, sa.local_addr());
     }
@@ -277,10 +267,7 @@ mod tests {
     #[test]
     fn nonblocking_recv_would_block() {
         let (_f, _sa, sb) = pair();
-        assert_eq!(
-            sb.recv(RecvMode::NonBlocking).err(),
-            Some(FabricError::WouldBlock)
-        );
+        assert_eq!(sb.try_recv().err(), Some(FabricError::WouldBlock));
     }
 
     #[test]
@@ -296,30 +283,39 @@ mod tests {
         ));
         sa.set_mtu(SimUdpSocket::JUMBO_MTU);
         sa.send_to(&big, sb.local_addr()).unwrap();
-        let d = sb.recv(RecvMode::Blocking).unwrap();
+        let d = recv(&sb);
         assert_eq!(d.payload.len(), 2000);
     }
 
     #[test]
     fn blocking_is_slower_than_polling_when_waiting() {
+        // The path Fig. 7's blocking-UDP row uses: a datagram the
+        // receiver slept for costs the wake-up where a polled one costs
+        // the `try_recv` attempt's syscall.  Both receives start with the
+        // datagram deliverable, so neither times the wire.
         let (_f, sa, sb) = pair();
-        // Pre-fill one datagram so the poll path has data instantly.
-        sa.send_to(b"x", sb.local_addr()).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        let t0 = Instant::now();
-        sb.recv(RecvMode::Blocking).unwrap(); // ready -> no wakeup charge
-        let ready_ns = t0.elapsed().as_nanos() as u64;
-        // Now measure a receive that must actually sleep.
-        let dst = sb.local_addr();
-        let sender = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            sa.send_to(b"y", dst).unwrap();
-        });
-        let t1 = Instant::now();
-        sb.recv(RecvMode::Blocking).unwrap();
-        let slept_ns = t1.elapsed().as_nanos() as u64;
-        sender.join().unwrap();
-        assert!(slept_ns > ready_ns, "sleeping receive must cost more");
+        let costs = TechCosts::of(Technology::KernelUdp);
+        let extra_ns = costs.wakeup_ns - costs.syscall_ns;
+        let mut ready_ns = u64::MAX;
+        let mut late_ns = u64::MAX;
+        for _ in 0..20 {
+            sa.send_to(b"x", sb.local_addr()).unwrap();
+            crate::time::spin_for_ns(20_000);
+            let t0 = Instant::now();
+            sb.try_recv().unwrap();
+            ready_ns = ready_ns.min(t0.elapsed().as_nanos() as u64);
+
+            sa.send_to(b"y", sb.local_addr()).unwrap();
+            crate::time::spin_for_ns(20_000);
+            let t1 = Instant::now();
+            sb.recv_blocking_emulated().unwrap();
+            late_ns = late_ns.min(t1.elapsed().as_nanos() as u64);
+        }
+        // The charger's jitter is ±4 % per charge.
+        assert!(
+            late_ns >= ready_ns + extra_ns * 9 / 10,
+            "blocking receive {late_ns} ns vs polled {ready_ns} ns, modelled gap {extra_ns} ns"
+        );
     }
 
     #[test]
@@ -339,7 +335,7 @@ mod tests {
             let t0 = Instant::now();
             sa.send_to(&payload, b_addr).unwrap();
             let ping = loop {
-                match sb.recv(RecvMode::NonBlocking) {
+                match sb.try_recv() {
                     Ok(d) => break d,
                     Err(FabricError::WouldBlock) => {}
                     Err(e) => panic!("{e}"),
@@ -347,7 +343,7 @@ mod tests {
             };
             sb.send_to(&ping.payload, a_addr).unwrap();
             loop {
-                match sa.recv(RecvMode::NonBlocking) {
+                match sa.try_recv() {
                     Ok(_) => break,
                     Err(FabricError::WouldBlock) => {}
                     Err(e) => panic!("{e}"),

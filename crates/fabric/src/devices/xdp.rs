@@ -4,7 +4,10 @@
 //! *umem* — a shared memory area divided into frames — and exchanges frame
 //! descriptors with the driver over rings.  Compared to DPDK, each packet
 //! costs more CPU (the in-kernel driver forwards every packet between ring
-//! and NIC), but no core has to busy-poll: the socket can block cheaply.
+//! and NIC), but no core has to busy-poll: a real socket can block cheaply.
+//! This one only polls ([`XdpSocket::rx`]); a sleeping receive would be an
+//! armed [`insane_queues::Bell`] on the port, which nothing in the tree
+//! needs yet (DESIGN.md §6.10).
 //!
 //! Simplification versus real AF_XDP (documented in DESIGN.md): the FILL
 //! and COMPLETION rings are bookkeeping — the zero-copy payload travels as
@@ -13,6 +16,7 @@
 //! via an explicit completion-ring read.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use insane_memory::{PoolConfig, SlotGuard, SlotPool};
 
@@ -133,7 +137,12 @@ impl XdpSocket {
         // Ring write + syscall kick + driver forwarding work.
         self.charger.charge_doorbell();
         self.charger.charge_tx_packet(len);
-        let wire_frame = Frame::new(self.local_addr(), dst, Payload::Pooled(view));
+        let wire_frame = Frame::new(
+            self.local_addr(),
+            dst,
+            Payload::Pooled(view),
+            Instant::now(),
+        );
         let wire = len + self.charger.costs().wire_overhead_bytes;
         self.tx_submitted.fetch_add(1, Ordering::Relaxed);
         self.fabric
@@ -145,31 +154,7 @@ impl XdpSocket {
         self.charger.charge_rx_poll();
         let frame = self.port.poll()?;
         self.charger.charge_rx_packet(frame.payload.len());
-        Some(Received {
-            wire_ns: frame.wire_ns(),
-            src: frame.src,
-            payload: frame.payload,
-        })
-    }
-
-    /// Blocks until a packet arrives (XDP sockets can sleep more cheaply
-    /// than full-stack sockets; a reduced wake-up penalty applies).
-    ///
-    /// # Errors
-    ///
-    /// [`FabricError::Closed`] if the socket closes mid-wait.
-    pub fn rx_blocking(&self) -> Result<XdpDesc, FabricError> {
-        if let Some(desc) = self.rx() {
-            return Ok(desc);
-        }
-        let frame = self.port.recv_blocking()?;
-        self.charger.charge_wakeup();
-        self.charger.charge_rx_packet(frame.payload.len());
-        Ok(Received {
-            wire_ns: frame.wire_ns(),
-            src: frame.src,
-            payload: frame.payload,
-        })
+        Some(frame.into())
     }
 
     /// Closes the socket.
@@ -187,9 +172,8 @@ impl Drop for XdpSocket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::devices::{RecvMode, SimUdpSocket};
+    use crate::devices::SimUdpSocket;
     use crate::TestbedProfile;
-    use std::time::Instant;
 
     fn pair() -> (Fabric, XdpSocket, XdpSocket) {
         let f = Fabric::new(TestbedProfile::local());
@@ -206,7 +190,11 @@ mod tests {
         let mut frame = xa.alloc_frame(3).unwrap();
         frame.copy_from_slice(b"xdp");
         xa.tx(xb.local_addr(), frame).unwrap();
-        let desc = xb.rx_blocking().unwrap();
+        let desc = loop {
+            if let Some(desc) = xb.rx() {
+                break desc;
+            }
+        };
         assert_eq!(desc.payload.as_slice(), b"xdp");
         assert!(matches!(desc.payload, Payload::Pooled(_)));
         assert_eq!(xa.tx_submitted(), 1);
@@ -254,22 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn blocking_rx_wakes_on_late_arrival() {
-        let (_f, xa, xb) = pair();
-        let b_addr = xb.local_addr();
-        let sender = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            let mut frame = xa.alloc_frame(4).unwrap();
-            frame.copy_from_slice(b"late");
-            xa.tx(b_addr, frame).unwrap();
-            xa
-        });
-        let desc = xb.rx_blocking().unwrap();
-        assert_eq!(desc.payload.as_slice(), b"late");
-        let _xa = sender.join().unwrap();
-    }
-
-    #[test]
     fn xdp_sits_between_udp_and_dpdk_in_latency() {
         // Ordering sanity: XDP ping-pong must be faster than kernel UDP,
         // matching the paper's §3 narrative.  Single-threaded inline
@@ -311,7 +283,7 @@ mod tests {
                 let t0 = Instant::now();
                 sa.send_to(&[1u8; 64], b_addr).unwrap();
                 let ping = loop {
-                    match sb.recv(RecvMode::NonBlocking) {
+                    match sb.try_recv() {
                         Ok(d) => break d,
                         Err(FabricError::WouldBlock) => {}
                         Err(e) => panic!("{e}"),
@@ -319,7 +291,7 @@ mod tests {
                 };
                 sb.send_to(&ping.payload, a_addr).unwrap();
                 loop {
-                    match sa.recv(RecvMode::NonBlocking) {
+                    match sa.try_recv() {
                         Ok(_) => break,
                         Err(FabricError::WouldBlock) => {}
                         Err(e) => panic!("{e}"),

@@ -184,7 +184,7 @@ impl FaultState {
 
     /// Applies the configured faults to `frame`; the caller enacts the
     /// returned verdict.
-    pub(crate) fn intercept(&self, frame: &mut Frame, now: Instant) -> Verdict {
+    pub(crate) fn intercept(&self, frame: &mut Frame) -> Verdict {
         if !self.active.load(Ordering::Relaxed) {
             return CLEAN;
         }
@@ -198,7 +198,7 @@ impl FaultState {
         if cfg.link_is_down(
             frame.src.host,
             frame.dst.host,
-            now.saturating_duration_since(self.epoch),
+            frame.sent_at.saturating_duration_since(self.epoch),
         ) {
             self.counters
                 .link_down_drops
@@ -413,7 +413,7 @@ mod tests {
 
     fn send(f: &Fabric, src: Endpoint, dst: Endpoint, payload: &[u8]) {
         f.transmit(
-            Frame::new(src, dst, Payload::Inline(payload.to_vec().into())),
+            Frame::new(src, dst, Payload::Inline(payload.into()), Instant::now()),
             64,
             0,
         )
@@ -422,7 +422,7 @@ mod tests {
 
     fn drain(port: &crate::wire::PortHandle) -> Vec<Vec<u8>> {
         crate::time::spin_for_ns(20_000);
-        let mut out = Vec::new();
+        let mut out: Vec<Frame> = Vec::new();
         port.poll_burst(&mut out, 1024);
         out.iter().map(|f| f.payload.to_vec()).collect()
     }

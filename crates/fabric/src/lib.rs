@@ -34,7 +34,7 @@
 //!
 //! ```
 //! use insane_fabric::{Fabric, TestbedProfile};
-//! use insane_fabric::devices::{RecvMode, SimUdpSocket};
+//! use insane_fabric::devices::SimUdpSocket;
 //!
 //! let fabric = Fabric::new(TestbedProfile::local());
 //! let a = fabric.add_host("node-a");
@@ -42,7 +42,9 @@
 //! let tx = SimUdpSocket::bind(&fabric, a, 9000)?;
 //! let rx = SimUdpSocket::bind(&fabric, b, 9000)?;
 //! tx.send_to(b"ping", rx.local_addr())?;
-//! let datagram = rx.recv(RecvMode::Blocking)?;
+//! // Nobody sleeps on the wire: this polls until the frame lands, then
+//! // charges what a blocking socket's wake-up would have cost.
+//! let datagram = rx.recv_blocking_emulated()?;
 //! assert_eq!(datagram.payload.as_slice(), b"ping");
 //! # Ok::<(), insane_fabric::FabricError>(())
 //! ```
@@ -76,7 +78,7 @@ pub enum FabricError {
     AddrInUse(Endpoint),
     /// The host id does not exist on this fabric.
     UnknownHost(HostId),
-    /// Non-blocking receive found no ready frame.
+    /// A receive found no deliverable frame (every receive polls).
     WouldBlock,
     /// The frame exceeds the device MTU.
     FrameTooLarge {
@@ -89,8 +91,6 @@ pub enum FabricError {
     RingFull,
     /// A verb was used on a queue pair that is not connected.
     NotConnected,
-    /// The device was shut down.
-    Closed,
     /// Underlying memory-pool failure (e.g. mempool exhausted).
     Memory(insane_memory::MemoryError),
 }
@@ -107,7 +107,6 @@ impl fmt::Display for FabricError {
             }
             FabricError::RingFull => write!(f, "device ring is full"),
             FabricError::NotConnected => write!(f, "queue pair is not connected"),
-            FabricError::Closed => write!(f, "device is closed"),
             FabricError::Memory(e) => write!(f, "memory pool error: {e}"),
         }
     }

@@ -1,6 +1,6 @@
 //! The fabric itself: hosts, ports, frames, and delivery scheduling.
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fmt;
@@ -62,6 +62,7 @@ pub enum Payload {
 
 impl Payload {
     /// The payload bytes.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         match self {
             Payload::Inline(b) => b,
@@ -70,6 +71,7 @@ impl Payload {
     }
 
     /// Payload length in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.as_slice().len()
     }
@@ -115,21 +117,23 @@ pub struct Frame {
     pub payload: Payload,
     /// When the sending device handed the frame to its NIC.
     pub sent_at: Instant,
-    /// When the fabric delivered the frame at the destination port
-    /// (serialization + propagation + switch).  Set by the fabric.
+    /// When the fabric delivers the frame at the destination port
+    /// (serialization + propagation + switch).  Set by
+    /// [`Fabric::transmit`].
     pub delivered_at: Instant,
 }
 
 impl Frame {
-    /// Creates a frame ready for [`Fabric::transmit`].
-    pub fn new(src: Endpoint, dst: Endpoint, payload: Payload) -> Self {
-        let now = Instant::now();
+    /// A frame handed to the NIC at `sent_at`, ready for
+    /// [`Fabric::transmit`].  The device reads the clock, once per frame
+    /// or once for a whole burst; the fabric computes `delivered_at`.
+    pub fn new(src: Endpoint, dst: Endpoint, payload: Payload, sent_at: Instant) -> Self {
         Self {
             src,
             dst,
             payload,
-            sent_at: now,
-            delivered_at: now,
+            sent_at,
+            delivered_at: sent_at,
         }
     }
 
@@ -153,11 +157,9 @@ pub struct PortStats {
 
 struct PortInner {
     queue: Mutex<VecDeque<Frame>>,
-    ready: Condvar,
     capacity: usize,
     delivered: AtomicU64,
     dropped: AtomicU64,
-    closed: Mutex<bool>,
 }
 
 impl PortInner {
@@ -211,58 +213,24 @@ impl PortHandle {
         }
     }
 
-    /// Pops up to `max` deliverable frames into `out`; returns the count.
-    pub fn poll_burst(&self, out: &mut Vec<Frame>, max: usize) -> usize {
+    /// Pops up to `max` deliverable frames, appending each to `out` in
+    /// the caller's own receive type; returns the count.
+    pub fn poll_burst<T: From<Frame>>(&self, out: &mut Vec<T>, max: usize) -> usize {
         let mut q = self.inner.queue.lock();
         let now = Instant::now();
         let mut n = 0;
         while n < max && q.front().is_some_and(|f| f.delivered_at <= now) {
             if let Some(f) = q.pop_front() {
-                out.push(f);
+                out.push(f.into());
                 n += 1;
             }
         }
         n
     }
 
-    /// Blocks until a frame is deliverable and pops it.
-    ///
-    /// # Errors
-    ///
-    /// [`FabricError::Closed`] if the port is shut down while waiting.
-    pub fn recv_blocking(&self) -> Result<Frame, FabricError> {
-        let mut q = self.inner.queue.lock();
-        loop {
-            if *self.inner.closed.lock() {
-                return Err(FabricError::Closed);
-            }
-            let now = Instant::now();
-            match q.front().map(|f| f.delivered_at) {
-                Some(at) if at <= now => {
-                    if let Some(f) = q.pop_front() {
-                        return Ok(f);
-                    }
-                }
-                Some(deadline) => {
-                    self.inner.ready.wait_until(&mut q, deadline);
-                }
-                None => {
-                    self.inner.ready.wait(&mut q);
-                }
-            }
-        }
-    }
-
-    /// Marks the port closed, waking any blocked receiver.
-    pub fn close(&self) {
-        *self.inner.closed.lock() = true;
-        self.inner.ready.notify_all();
-    }
-
     /// Removes the binding from the fabric (subsequent sends to this
     /// endpoint fail with [`FabricError::Unreachable`]).
     pub fn unbind(&self) {
-        self.close();
         self.fabric.ports.write().remove(&self.endpoint);
     }
 }
@@ -392,11 +360,9 @@ impl Fabric {
         }
         let inner = Arc::new(PortInner {
             queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
             capacity,
             delivered: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            closed: Mutex::new(false),
         });
         ports.insert(endpoint, Arc::clone(&inner));
         Ok(PortHandle {
@@ -412,7 +378,8 @@ impl Fabric {
     }
 
     /// Transmits a frame: computes its delivery time from the link models
-    /// and enqueues it at the destination port.
+    /// and `frame.sent_at`, and enqueues it at the destination port.  No
+    /// thread is woken: every receiver polls (DESIGN.md §6.10).
     ///
     /// `wire_bytes` is the on-wire frame size (payload + technology
     /// headers); `extra_latency_ns` is the device's one-way NIC latency.
@@ -426,22 +393,11 @@ impl Fabric {
     /// [`FabricError::Unreachable`] when nothing is bound at `frame.dst`.
     pub fn transmit(
         &self,
-        frame: Frame,
-        wire_bytes: usize,
-        extra_latency_ns: u64,
-    ) -> Result<(), FabricError> {
-        self.transmit_at(frame, wire_bytes, extra_latency_ns, Instant::now())
-    }
-
-    /// As [`Fabric::transmit`] with an explicit hand-off instant, so a
-    /// device submitting a burst reads the clock once for all frames.
-    pub fn transmit_at(
-        &self,
         mut frame: Frame,
         wire_bytes: usize,
         extra_latency_ns: u64,
-        now: Instant,
     ) -> Result<(), FabricError> {
+        let now = frame.sent_at;
         let dst_port = self
             .inner
             .ports
@@ -452,12 +408,11 @@ impl Fabric {
 
         // Fault pipeline: device/host gates, link gates, per-link plans.
         // Like real datagram networks, injected loss is silent (`Ok`).
-        let (duplicate, reorder) = match self.inner.faults.intercept(&mut frame, now) {
+        let (duplicate, reorder) = match self.inner.faults.intercept(&mut frame) {
             crate::fault::Verdict::Drop => return Ok(()),
             crate::fault::Verdict::Deliver { duplicate, reorder } => (duplicate, reorder),
         };
 
-        frame.sent_at = now;
         let deliver_at = if frame.src.host == frame.dst.host {
             now + std::time::Duration::from_nanos(
                 self.inner.profile.link.loopback_ns + extra_latency_ns,
@@ -505,7 +460,6 @@ impl Fabric {
         }
         drop(q);
         if accepted > 0 {
-            dst_port.ready.notify_one();
             self.inner
                 .frames_sent
                 .fetch_add(accepted, Ordering::Relaxed);
@@ -530,6 +484,20 @@ mod tests {
         Endpoint { host, port }
     }
 
+    fn inline(src: Endpoint, dst: Endpoint, bytes: &[u8]) -> Frame {
+        Frame::new(src, dst, Payload::Inline(bytes.into()), Instant::now())
+    }
+
+    /// Polls until the frame in flight is deliverable.
+    fn recv(port: &PortHandle) -> Frame {
+        loop {
+            if let Some(frame) = port.poll() {
+                return frame;
+            }
+            std::hint::spin_loop();
+        }
+    }
+
     #[test]
     fn bind_rejects_duplicates_and_unknown_hosts() {
         let (f, a, _) = two_hosts();
@@ -549,7 +517,7 @@ mod tests {
     #[test]
     fn transmit_to_unbound_endpoint_fails() {
         let (f, a, b) = two_hosts();
-        let frame = Frame::new(ep(a, 1), ep(b, 2), Payload::Inline(b"x".to_vec().into()));
+        let frame = inline(ep(a, 1), ep(b, 2), b"x");
         assert!(matches!(
             f.transmit(frame, 64, 0),
             Err(FabricError::Unreachable(_))
@@ -562,13 +530,8 @@ mod tests {
         let src = ep(a, 1);
         let dst = ep(b, 2);
         let port = f.bind(dst).unwrap();
-        f.transmit(
-            Frame::new(src, dst, Payload::Inline(b"hello".to_vec().into())),
-            64,
-            0,
-        )
-        .unwrap();
-        let got = port.recv_blocking().unwrap();
+        f.transmit(inline(src, dst, b"hello"), 64, 0).unwrap();
+        let got = recv(&port);
         assert_eq!(got.payload.as_slice(), b"hello");
         assert_eq!(got.src, src);
         assert!(got.wire_ns() >= 500, "propagation must apply");
@@ -585,15 +548,10 @@ mod tests {
         let b = f.add_host("b");
         let dst = ep(b, 2);
         let port = f.bind(dst).unwrap();
-        f.transmit(
-            Frame::new(ep(a, 1), dst, Payload::Inline(b"x".to_vec().into())),
-            64,
-            0,
-        )
-        .unwrap();
+        f.transmit(inline(ep(a, 1), dst, b"x"), 64, 0).unwrap();
         // Immediately after transmit the frame is still "on the wire".
         assert!(port.poll().is_none());
-        let frame = port.recv_blocking().unwrap();
+        let frame = recv(&port);
         assert!(frame.wire_ns() >= 200_000);
     }
 
@@ -607,13 +565,8 @@ mod tests {
             let b = f.add_host("b");
             let dst = ep(b, 2);
             let port = f.bind(dst).unwrap();
-            f.transmit(
-                Frame::new(ep(a, 1), dst, Payload::Inline(b"x".to_vec().into())),
-                64,
-                0,
-            )
-            .unwrap();
-            wire[i] = port.recv_blocking().unwrap().wire_ns();
+            f.transmit(inline(ep(a, 1), dst, b"x"), 64, 0).unwrap();
+            wire[i] = recv(&port).wire_ns();
         }
         assert!(
             wire[1] >= wire[0] + 1_500,
@@ -628,13 +581,8 @@ mod tests {
         let (f, a, _) = two_hosts();
         let dst = ep(a, 2);
         let port = f.bind(dst).unwrap();
-        f.transmit(
-            Frame::new(ep(a, 1), dst, Payload::Inline(b"x".to_vec().into())),
-            64,
-            0,
-        )
-        .unwrap();
-        let frame = port.recv_blocking().unwrap();
+        f.transmit(inline(ep(a, 1), dst, b"x"), 64, 0).unwrap();
+        let frame = recv(&port);
         assert!(frame.wire_ns() < 500);
     }
 
@@ -644,12 +592,7 @@ mod tests {
         let dst = ep(b, 2);
         let port = f.bind_with_capacity(dst, 2).unwrap();
         for _ in 0..5 {
-            f.transmit(
-                Frame::new(ep(a, 1), dst, Payload::Inline(b"x".to_vec().into())),
-                64,
-                0,
-            )
-            .unwrap();
+            f.transmit(inline(ep(a, 1), dst, b"x"), 64, 0).unwrap();
         }
         let stats = port.stats();
         assert_eq!(stats.delivered, 2);
@@ -662,29 +605,13 @@ mod tests {
         let dst = ep(b, 2);
         let port = f.bind(dst).unwrap();
         for _ in 0..5 {
-            f.transmit(
-                Frame::new(ep(a, 1), dst, Payload::Inline(b"y".to_vec().into())),
-                64,
-                0,
-            )
-            .unwrap();
+            f.transmit(inline(ep(a, 1), dst, b"y"), 64, 0).unwrap();
         }
         // Wait for the frames to be deliverable.
         crate::time::spin_for_ns(10_000);
-        let mut out = Vec::new();
+        let mut out: Vec<Frame> = Vec::new();
         assert_eq!(port.poll_burst(&mut out, 3), 3);
         assert_eq!(port.poll_burst(&mut out, 10), 2);
-    }
-
-    #[test]
-    fn closing_wakes_blocked_receiver() {
-        let (f, _a, b) = two_hosts();
-        let port = f.bind(ep(b, 9)).unwrap();
-        let port2 = port.clone();
-        let waiter = std::thread::spawn(move || port2.recv_blocking());
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        port.close();
-        assert_eq!(waiter.join().unwrap().err(), Some(FabricError::Closed));
     }
 
     #[test]
@@ -708,10 +635,10 @@ mod tests {
         let mut g = pool.acquire(5).unwrap();
         g.copy_from_slice(b"pool!");
         let payload = Payload::Pooled(g.into_view());
-        f.transmit(Frame::new(ep(a, 1), dst, payload), 64, 0)
+        f.transmit(Frame::new(ep(a, 1), dst, payload, Instant::now()), 64, 0)
             .unwrap();
         assert_eq!(pool.free_slots(), 3, "slot checked out while in flight");
-        let frame = port.recv_blocking().unwrap();
+        let frame = recv(&port);
         assert_eq!(frame.payload.as_slice(), b"pool!");
         drop(frame);
         assert_eq!(pool.free_slots(), 4, "drop releases the slot");

@@ -23,8 +23,10 @@
 //! the consumer would sleep on a non-empty ring that nobody rings for.
 //! With them, at least one side sees the other's write: either the
 //! re-check finds the item, or `ring_if_armed` finds the bell set.  The
-//! wake itself must be sticky (`Thread::unpark`'s token is), so one that
-//! lands between the re-check and the wait is not lost either.
+//! wake itself must not be lost between the re-check and the wait: either
+//! it is sticky (`Thread::unpark`'s token is — `insane-ipc`'s datapath
+//! thread), or the waker first takes a lock the consumer holds from before
+//! `arm` until its wait releases it (a Condvar — `insane-core`'s sinks).
 //!
 //! `tests/loom.rs` checks the interleavings of exactly these methods over
 //! the [`Heap`](crate::ring::Heap) ring.  `vendor/loom` does not model

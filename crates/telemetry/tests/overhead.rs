@@ -345,11 +345,11 @@ fn dpdk_round_trip_allocations_are_pinned() {
     //      only allocation `insane-core` makes per message (the slot's
     //      state word counts everything else);
     //   1  `DpdkPort::tx_burst_views` staging the burst in a `Vec`;
-    //   2  `DpdkPort::rx_burst`: its frame `Vec` and the plugin's packet
-    //      `Vec` it fills.
-    // The three fabric ones are per *burst*, so they amortize under load;
+    //   1  the plugin's packet `Vec`, which `DpdkPort::rx_burst` fills
+    //      straight from the port queue.
+    // The two device ones are per *burst*, so they amortize under load;
     // at one message in flight they are a finding for ROADMAP item 2.
-    const PER_DIRECTION: u64 = 4;
+    const PER_DIRECTION: u64 = 3;
     assert_eq!(
         counted,
         N * 2 * PER_DIRECTION,

@@ -11,8 +11,9 @@
 //!   pre-sized scratch capacity is the sanctioned pattern (amortized
 //!   allocation-free, see DESIGN.md §9).
 //! * `hot-path-block` — blocking: `.lock()`, condvar/thread waits,
-//!   `thread::sleep`, channel `recv`. `try_lock`/`try_read`/`try_write`
-//!   are non-blocking and exempt.
+//!   `thread::sleep`, channel `recv`; and condvar notifies, which never
+//!   block but are a futex syscall whether or not anyone waits.
+//!   `try_lock`/`try_read`/`try_write` are non-blocking and exempt.
 //! * `hot-path-rwlock` — reader-writer locks: zero-arg `.read()`/
 //!   `.write()` (so `io::Read::read(&mut buf)` is not confused with
 //!   `RwLock::read()`). Split out from `hot-path-block` because the fix
@@ -69,8 +70,8 @@ const ALLOC_PATHS: &[(&str, &str)] = &[
 const ALLOC_MACROS: &[&str] = &["format", "vec"];
 
 /// Blocking zero-arg methods (lock acquisition, channel receives, and
-/// waits). `recv` counts only with no arguments: `socket.recv(mode)` is
-/// the non-blocking datapath receive.
+/// waits). `recv` is the channel receive: the datapath's non-blocking
+/// socket receive is spelled `try_recv()` so the two cannot be confused.
 const BLOCK_METHODS_NOARG: &[&str] = &["lock", "park", "join", "recv", "recv_timeout"];
 
 /// Reader-writer-lock acquisition, zero-arg only (`io::Read::read(&mut
@@ -79,7 +80,10 @@ const BLOCK_METHODS_NOARG: &[&str] = &["lock", "park", "join", "recv", "recv_tim
 /// remedy is a snapshot cell, not a try_ variant.
 const RWLOCK_METHODS_NOARG: &[&str] = &["read", "write"];
 
-/// Blocking methods regardless of arity (condvar waits).
+/// Blocking methods regardless of arity: condvar waits, and condvar
+/// notifies — a `futex_wake` syscall even with nobody waiting, so a wake
+/// belongs in a `cold-path` fn entered only when a waiter armed a bell
+/// (DESIGN.md §6.10).
 const BLOCK_METHODS: &[&str] = &[
     "wait",
     "wait_for",
@@ -87,6 +91,8 @@ const BLOCK_METHODS: &[&str] = &[
     "wait_timeout",
     "wait_until",
     "park_timeout",
+    "notify_one",
+    "notify_all",
 ];
 
 /// `qualifier::name` blocking calls.
@@ -208,8 +214,8 @@ fn check_body(
                     &mut seen,
                     "hot-path-block",
                     t.line,
-                    &format!("`.{name}(...)` can block"),
-                    "use a try_ variant or move the wait off the hot path",
+                    &format!("`.{name}(...)` can block or enter the kernel"),
+                    "use a try_ variant or move the wait (or wake) off the hot path",
                 );
             }
             if RWLOCK_METHODS_NOARG.contains(&name) && zero_arg {

@@ -76,6 +76,12 @@ fn bad_v2_fixture_trips_every_new_rule() {
             .any(|v| v.rule == "hot-path-block" && v.message.contains("thread::park_timeout")),
         "a timed park on the hot path went unnoticed: {violations:#?}"
     );
+    assert!(
+        violations
+            .iter()
+            .any(|v| v.rule == "hot-path-block" && v.message.contains("notify_one")),
+        "an unconditional wake on the hot path went unnoticed: {violations:#?}"
+    );
 }
 
 #[test]

@@ -27,6 +27,7 @@ fn drain_step(p: &Pools) {
     let g = p.a.lock().unwrap(); // hot-path-block (+ unwrap panic)
     drop(g);
     std::thread::park_timeout(std::time::Duration::from_millis(1)); // hot-path-block: a timed park still parks
+    p.cv.notify_one(); // hot-path-block: a futex syscall whether or not anyone waits
 }
 
 /// Also unannotated: reached from `poll_hot` through the call graph.

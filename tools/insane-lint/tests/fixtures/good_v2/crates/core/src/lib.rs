@@ -39,6 +39,7 @@ pub fn poll_device(dev: &Device, out: &mut [u8]) -> usize {
 fn report(p: &Pools) -> Vec<u32> {
     let mut grown = Vec::new();
     grown.push(p.a.lock().map(|g| *g).unwrap_or(0));
+    p.cv.notify_all(); // a wake is fine where the hot graph does not reach
     grown
 }
 
