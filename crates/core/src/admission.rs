@@ -204,8 +204,10 @@ impl AdmissionController {
         }
     }
 
-    /// Charges one message against `tenant`'s bucket.  `now_ns` is the
-    /// caller's epoch timestamp (passed in so tests are deterministic).
+    /// Charges one message against `tenant`'s bucket.  `now` yields the
+    /// caller's epoch timestamp (passed in so tests are deterministic)
+    /// and is called only for a rate-limited tenant: an unrated lend
+    /// reads no clock.
     ///
     /// # Errors
     ///
@@ -216,7 +218,7 @@ impl AdmissionController {
         &self,
         tenant: TenantId,
         class: TrafficClass,
-        now_ns: u64,
+        now: impl FnOnce() -> u64,
     ) -> Result<(), InsaneError> {
         let idx = self.entry_index(tenant);
         let Some(entry) = self.entries.get(idx) else {
@@ -226,7 +228,7 @@ impl AdmissionController {
             entry.admitted.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         };
-        Self::refill(entry, rate, now_ns);
+        Self::refill(entry, rate, now());
         let cap = rate.burst.saturating_mul(TOKEN);
         // Best-effort traffic cannot spend the protected reserve under
         // the class-aware policies; time-sensitive classes (and every
@@ -330,8 +332,11 @@ mod tests {
     #[test]
     fn unregistered_tenants_are_never_refused() {
         let ctl = controller(TenantRate::new(1, 1), OverloadPolicy::Reject);
-        for i in 0..100 {
-            ctl.admit(42, TrafficClass::BEST_EFFORT, i * 1_000).unwrap();
+        for _ in 0..100 {
+            ctl.admit(42, TrafficClass::BEST_EFFORT, || {
+                unreachable!("an unrated tenant reads no clock")
+            })
+            .unwrap();
         }
         assert_eq!(ctl.usage()[0].admitted, 100);
         assert_eq!(ctl.usage()[0].rejected, 0);
@@ -343,17 +348,17 @@ mod tests {
         // is dry until 100 ms pass per token.
         let ctl = controller(TenantRate::new(10, 4), OverloadPolicy::Reject);
         for _ in 0..4 {
-            ctl.admit(7, TrafficClass::BEST_EFFORT, SEC).unwrap();
+            ctl.admit(7, TrafficClass::BEST_EFFORT, || SEC).unwrap();
         }
         assert!(matches!(
-            ctl.admit(7, TrafficClass::BEST_EFFORT, SEC),
+            ctl.admit(7, TrafficClass::BEST_EFFORT, || SEC),
             Err(InsaneError::AdmissionRejected { tenant: 7 })
         ));
         // 100 ms later exactly one more token has dripped in.
-        ctl.admit(7, TrafficClass::BEST_EFFORT, SEC + SEC / 10)
+        ctl.admit(7, TrafficClass::BEST_EFFORT, || SEC + SEC / 10)
             .unwrap();
         assert!(matches!(
-            ctl.admit(7, TrafficClass::BEST_EFFORT, SEC + SEC / 10),
+            ctl.admit(7, TrafficClass::BEST_EFFORT, || SEC + SEC / 10),
             Err(InsaneError::AdmissionRejected { tenant: 7 })
         ));
         let u = &ctl.usage()[1];
@@ -365,9 +370,12 @@ mod tests {
         let ctl = controller(TenantRate::new(1_000_000, 2), OverloadPolicy::Reject);
         // A long idle period must not bank more than `burst` tokens.
         for _ in 0..2 {
-            ctl.admit(7, TrafficClass::BEST_EFFORT, 100 * SEC).unwrap();
+            ctl.admit(7, TrafficClass::BEST_EFFORT, || 100 * SEC)
+                .unwrap();
         }
-        assert!(ctl.admit(7, TrafficClass::BEST_EFFORT, 100 * SEC).is_err());
+        assert!(ctl
+            .admit(7, TrafficClass::BEST_EFFORT, || 100 * SEC)
+            .is_err());
     }
 
     #[test]
@@ -375,19 +383,19 @@ mod tests {
         // Burst 8, reserve 25% = 2 tokens best effort cannot spend.
         let ctl = controller(TenantRate::new(1, 8), OverloadPolicy::ShedLowest);
         for _ in 0..6 {
-            ctl.admit(7, TrafficClass::BEST_EFFORT, 0).unwrap();
+            ctl.admit(7, TrafficClass::BEST_EFFORT, || 0).unwrap();
         }
         // Best effort hits the protected reserve and is shed...
         assert!(matches!(
-            ctl.admit(7, TrafficClass::BEST_EFFORT, 0),
+            ctl.admit(7, TrafficClass::BEST_EFFORT, || 0),
             Err(InsaneError::Shed { tenant: 7 })
         ));
         // ...while time-critical still has the reserved budget.
-        ctl.admit(7, TrafficClass::TIME_CRITICAL, 0).unwrap();
-        ctl.admit(7, TrafficClass::TIME_CRITICAL, 0).unwrap();
+        ctl.admit(7, TrafficClass::TIME_CRITICAL, || 0).unwrap();
+        ctl.admit(7, TrafficClass::TIME_CRITICAL, || 0).unwrap();
         // A fully empty bucket rejects even time-critical, terminally.
         assert!(matches!(
-            ctl.admit(7, TrafficClass::TIME_CRITICAL, 0),
+            ctl.admit(7, TrafficClass::TIME_CRITICAL, || 0),
             Err(InsaneError::AdmissionRejected { tenant: 7 })
         ));
         let u = &ctl.usage()[1];
@@ -398,15 +406,15 @@ mod tests {
     fn backpressure_policy_is_retryable_for_best_effort() {
         let ctl = controller(TenantRate::new(1, 4), OverloadPolicy::Backpressure);
         for _ in 0..3 {
-            ctl.admit(7, TrafficClass::BEST_EFFORT, 0).unwrap();
+            ctl.admit(7, TrafficClass::BEST_EFFORT, || 0).unwrap();
         }
         assert!(matches!(
-            ctl.admit(7, TrafficClass::BEST_EFFORT, 0),
+            ctl.admit(7, TrafficClass::BEST_EFFORT, || 0),
             Err(InsaneError::Backpressure)
         ));
         assert_eq!(ctl.usage()[1].throttled, 1);
         // The reserve is still spendable by a time-sensitive message.
-        ctl.admit(7, TrafficClass::TIME_CRITICAL, 0).unwrap();
+        ctl.admit(7, TrafficClass::TIME_CRITICAL, || 0).unwrap();
     }
 
     #[test]

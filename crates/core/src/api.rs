@@ -392,7 +392,7 @@ impl Source {
         inner.admission().admit(
             tenant,
             self.stream.qos.time_sensitivity.traffic_class(),
-            epoch_ns(),
+            epoch_ns,
         )?;
         let guard = inner.pools().lend(tenant, PAYLOAD_OFFSET + len)?;
         Ok(MessageBuffer {

@@ -173,9 +173,6 @@ impl RoutingTable {
 
 /// The dispatcher: local sink registry + remote subscription table +
 /// peer table, published as immutable [`RoutingTable`] snapshots.
-///
-/// A version counter is bumped on every mutation so polling threads can
-/// cache per-channel routing decisions and revalidate them cheaply.
 #[derive(Debug)]
 pub(crate) struct Dispatcher {
     /// The current routing generation (see [`RoutingTable`]).
@@ -184,8 +181,6 @@ pub(crate) struct Dispatcher {
     /// edits the clone, and publishes it; the mutex makes that
     /// read-modify-write sequence atomic across control-plane threads.
     write: Mutex<()>,
-    /// Bumped on every routing-relevant mutation.
-    version: std::sync::atomic::AtomicU64,
 }
 
 impl Default for Dispatcher {
@@ -193,24 +188,11 @@ impl Default for Dispatcher {
         Self {
             table: SnapshotCell::new(RoutingTable::default()),
             write: Mutex::new(()),
-            version: std::sync::atomic::AtomicU64::new(0),
         }
     }
 }
 
 impl Dispatcher {
-    /// Current routing version (test observability: the hot path keys
-    /// off pointer identity via [`Dispatcher::refresh`], not versions).
-    #[cfg(test)]
-    pub(crate) fn version(&self) -> u64 {
-        self.version.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    fn bump(&self) {
-        self.version
-            .fetch_add(1, std::sync::atomic::Ordering::Release);
-    }
-
     /// The current routing snapshot (pinned; two atomic RMWs).
     #[cfg(test)]
     pub(crate) fn snapshot(&self) -> Arc<RoutingTable> {
@@ -228,12 +210,10 @@ impl Dispatcher {
     /// table, then publishes the copy as the new generation.  Writers
     /// serialize on `self.write`; readers never block.
     fn mutate<R>(&self, f: impl FnOnce(&mut RoutingTable) -> R) -> R {
-        let guard = self.write.lock();
+        let _guard = self.write.lock();
         let mut next = (*self.table.load()).clone();
         let result = f(&mut next);
         self.table.publish(Arc::new(next));
-        drop(guard);
-        self.bump();
         result
     }
 
@@ -390,9 +370,12 @@ mod tests {
         d.subscribe_remote(5, 10);
         d.subscribe_remote(5, 11);
         d.subscribe_remote(6, 10);
-        let before = d.version();
+        let before = d.snapshot();
         assert_eq!(d.remove_peer(10), Some(HostId::from_index(1)));
-        assert!(d.version() > before, "routing caches must invalidate");
+        assert!(
+            !Arc::ptr_eq(&before, &d.snapshot()),
+            "routing caches must invalidate"
+        );
         assert_eq!(remote_targets(&d, 5), vec![(HostId::from_index(2), 0xF)]);
         assert!(remote_targets(&d, 6).is_empty());
         assert_eq!(d.remove_peer(10), None, "already gone");

@@ -3,7 +3,7 @@
 //! failover divert.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -18,7 +18,7 @@ use crate::runtime::internals::{Delivery, OutcomeBoard, SinkShared, StreamShared
 use crate::runtime::plugins::{InboundMsg, WireMsg};
 use crate::runtime::tunables::Tunables;
 use crate::runtime::{shard, RuntimeInner};
-use crate::stats::MessageMeta;
+use crate::stats::{MessageMeta, StatsSnapshot};
 use crate::tenant_drr::Tenanted;
 use crate::{epoch_ns, InsaneError, INSANE_HDR_OFFSET, PAYLOAD_OFFSET};
 
@@ -143,6 +143,12 @@ pub(super) struct ShardState {
 /// as `&mut`; nothing below a drive locks it again.  The only other
 /// cross-thread touch points are the two leaf inboxes, whose locks
 /// guard O(burst) handoffs and never nest.
+///
+/// The shard's counters are the one count of what crossed this
+/// datapath: bumped (Relaxed — they publish nothing) by whoever drives
+/// the shard, whether or not latency recording is on, and read by
+/// summing — [`RuntimeInner::stats_snapshot`] for the runtime totals,
+/// [`RuntimeInner::shard_snapshot`] for the shard's introspection row.
 pub(super) struct DatapathShard {
     state: Mutex<ShardState>,
     /// Inbound messages of the channels this shard owns, fanned out by
@@ -159,6 +165,31 @@ pub(super) struct DatapathShard {
     /// loads/stores — the only writer is the shard's own poller (plus
     /// the cold reload clamp), and staleness costs one iteration.
     burst: AtomicUsize,
+    /// Messages this shard put on the wire.
+    tx_messages: AtomicU64,
+    /// Messages this shard took off the wire and dispatched.
+    rx_messages: AtomicU64,
+    /// Messages enqueued for this shard's packet scheduler, its own
+    /// and those handed over through `tx_inbox`.
+    scheduled: AtomicU64,
+    /// Per-traffic-class deferral events: scheduler passes in which a
+    /// queued frame was held back by a closed gate, the guard band, or
+    /// a remaining window too short to finish in (time-aware shaping
+    /// only; index = 802.1Q traffic class).
+    gate_deferrals: [AtomicU64; 8],
+}
+
+/// Plain-data copy of one shard's counters and gauges: its row of the
+/// introspection document.
+pub(crate) struct ShardSnapshot {
+    pub(crate) tx_messages: u64,
+    pub(crate) rx_messages: u64,
+    pub(crate) scheduled: u64,
+    pub(crate) gate_deferrals: [u64; 8],
+    /// Queued bundles: scheduler plus handoff inbox.
+    pub(crate) queued: u64,
+    /// Current burst budget.
+    pub(crate) burst: u64,
 }
 
 impl DatapathShard {
@@ -176,7 +207,15 @@ impl DatapathShard {
             rx_inbox: Mutex::new(VecDeque::new()),
             tx_inbox: Mutex::new(VecDeque::new()),
             burst: AtomicUsize::new(burst),
+            tx_messages: AtomicU64::new(0),
+            rx_messages: AtomicU64::new(0),
+            scheduled: AtomicU64::new(0),
+            gate_deferrals: Default::default(),
         }
+    }
+
+    fn gate_deferrals(&self) -> [u64; 8] {
+        std::array::from_fn(|class| self.gate_deferrals[class].load(Ordering::Relaxed))
     }
 }
 
@@ -260,12 +299,31 @@ impl RuntimeInner {
         did
     }
 
-    /// Queued bundles (scheduler plus handoff inbox) and current burst
-    /// budget of one shard, for the introspection snapshot.
-    pub(crate) fn shard_gauges(&self, idx: usize, shard: usize) -> (u64, u64) {
+    /// One shard's introspection row, read from the shard itself.
+    pub(crate) fn shard_snapshot(&self, idx: usize, shard: usize) -> ShardSnapshot {
         let sh = &self.shards[idx][shard];
         let queued = sh.state.lock().scheduler.len() + sh.tx_inbox.lock().len();
-        (queued as u64, sh.burst.load(Ordering::Relaxed) as u64)
+        ShardSnapshot {
+            tx_messages: sh.tx_messages.load(Ordering::Relaxed),
+            rx_messages: sh.rx_messages.load(Ordering::Relaxed),
+            scheduled: sh.scheduled.load(Ordering::Relaxed),
+            gate_deferrals: sh.gate_deferrals(),
+            queued: queued as u64,
+            burst: sh.burst.load(Ordering::Relaxed) as u64,
+        }
+    }
+
+    /// The runtime's counters: the runtime-wide ones plus the datapath
+    /// counts, which are the sums over the shards that own them.  Takes
+    /// no lock.
+    pub(crate) fn stats_snapshot(&self) -> StatsSnapshot {
+        let mut snap = self.stats.snapshot();
+        for sh in self.shards.iter().flatten() {
+            snap.tx_messages += sh.tx_messages.load(Ordering::Relaxed);
+            snap.rx_messages += sh.rx_messages.load(Ordering::Relaxed);
+            snap.gate_deferrals += sh.gate_deferrals().iter().sum::<u64>();
+        }
+        snap
     }
 
     /// Validates and publishes new tunables, then clamps every shard's
@@ -381,7 +439,8 @@ impl RuntimeInner {
     // insane-lint: allow-fn(hot-path-alloc) -- inbox deques grow to the burst watermark once, then reuse capacity
     fn poll_shard_rx(&self, idx: usize, shard: usize, scratch: &mut Scratch, down: bool) -> bool {
         let nshards = self.shards[idx].len();
-        let burst = self.shards[idx][shard].burst.load(Ordering::Relaxed);
+        let sh = &self.shards[idx][shard];
+        let burst = sh.burst.load(Ordering::Relaxed);
         let mut did = false;
         scratch.inbound.clear();
 
@@ -411,9 +470,6 @@ impl RuntimeInner {
                         }
                         !control
                     });
-                    self.stats
-                        .rx_messages
-                        .fetch_add(scratch.inbound.len() as u64, Ordering::Relaxed);
                 }
                 if nshards > 1 && !scratch.inbound.is_empty() {
                     // Bucket by owning shard so each inbox mutex is
@@ -436,7 +492,7 @@ impl RuntimeInner {
         if nshards > 1 {
             // This shard's share of the fan-out, bounded by the burst;
             // dispatch happens outside the inbox lock.
-            let mut inbox = self.shards[idx][shard].rx_inbox.lock();
+            let mut inbox = sh.rx_inbox.lock();
             let take = burst.min(inbox.len());
             scratch.inbound.extend(inbox.drain(..take));
             drop(inbox);
@@ -446,12 +502,14 @@ impl RuntimeInner {
             }
         }
 
+        // Counted before the dispatch loop: a callback sink runs inside
+        // it, and what it then reads must already include its message.
         let dispatched = scratch.inbound.len() as u64;
+        if dispatched > 0 {
+            sh.rx_messages.fetch_add(dispatched, Ordering::Relaxed);
+        }
         for msg in scratch.inbound.drain(..) {
             self.dispatch_inbound(msg, &scratch.routing, &mut scratch.inbound_sinks);
-        }
-        if dispatched > 0 {
-            self.dp_tel[idx][shard].on_rx(dispatched);
         }
         did || dispatched > 0
     }
@@ -464,7 +522,8 @@ impl RuntimeInner {
         let plugin = &self.plugins[idx];
         let tech = plugin.technology();
         let nshards = self.shards[idx].len();
-        let burst = self.shards[idx][shard].burst.load(Ordering::Relaxed);
+        let sh = &self.shards[idx][shard];
+        let burst = sh.burst.load(Ordering::Relaxed);
         let mut did = false;
 
         // The health flag is sampled once, so one iteration is wholly
@@ -529,7 +588,7 @@ impl RuntimeInner {
         //    schedulers clamp the burst to the frames the remaining gate
         //    window can still carry (never below 1, so a fully gated
         //    pass still records its deferrals), and report per-class
-        //    deferral counts for telemetry.
+        //    deferral counts, which the shard keeps.
         let ShardState { scheduler, scratch } = st;
         let now = Instant::now();
         if idx == self.udp_idx && self.plugins.len() > 1 {
@@ -542,12 +601,10 @@ impl RuntimeInner {
         scratch.ready.clear();
         scheduler.dequeue_ready(&mut scratch.ready, clamped, now);
         let deferred = scheduler.take_gate_deferrals();
-        let deferred_total: u64 = deferred.iter().sum();
-        if deferred_total > 0 {
-            self.stats
-                .gate_deferrals
-                .fetch_add(deferred_total, Ordering::Relaxed);
-            self.dp_tel[idx][shard].on_gate_deferred(&deferred);
+        for (counter, n) in sh.gate_deferrals.iter().zip(deferred) {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
         }
         if !scratch.ready.is_empty() {
             did = true;
@@ -567,10 +624,7 @@ impl RuntimeInner {
             let wire_count = scratch.wire.len() as u64;
             match plugin.send_burst(&mut scratch.wire) {
                 Ok(_) => {
-                    self.stats
-                        .tx_messages
-                        .fetch_add(wire_count, Ordering::Relaxed);
-                    self.dp_tel[idx][shard].on_tx(wire_count);
+                    sh.tx_messages.fetch_add(wire_count, Ordering::Relaxed);
                     for (board, seq) in scratch.boards.drain(..) {
                         board.complete_through(seq);
                     }
@@ -776,13 +830,15 @@ impl RuntimeInner {
         now: Instant,
     ) {
         let sched_idx = if native { idx } else { self.udp_idx };
-        self.dp_tel[sched_idx][shard].on_scheduled(bundle.msgs.as_mut_slice().len() as u64);
+        let target = &self.shards[sched_idx][shard];
+        target
+            .scheduled
+            .fetch_add(bundle.msgs.as_mut_slice().len() as u64, Ordering::Relaxed);
         if sched_idx == idx {
             let class = bundle.class;
             own.enqueue(bundle, class, now);
         } else {
-            let mut inbox = self.shards[sched_idx][shard].tx_inbox.lock();
-            inbox.push_back(bundle);
+            target.tx_inbox.lock().push_back(bundle);
         }
     }
 

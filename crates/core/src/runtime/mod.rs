@@ -40,7 +40,7 @@ use crate::runtime::plugins::{
 };
 use crate::runtime::tunables::Tunables;
 use crate::stats::{RuntimeStats, StatsSnapshot};
-use crate::telemetry::{DatapathTel, RuntimeTelemetry, SinkTel};
+use crate::telemetry::{RuntimeTelemetry, SinkTel};
 use crate::tenant_drr::TenantDrr;
 use crate::{InsaneError, PAYLOAD_OFFSET};
 
@@ -86,10 +86,8 @@ pub(crate) struct RuntimeInner {
     /// The fabric endpoint probed to decide each plugin's health.
     health_eps: Vec<Endpoint>,
     control: Mutex<ControlPlane>,
-    /// Telemetry root (inert when disabled or compiled out).
+    /// Latency-recording root (inert when disabled).
     pub(crate) telemetry: RuntimeTelemetry,
-    /// Per-shard telemetry counter handles, `dp_tel[datapath][shard]`.
-    dp_tel: Vec<Vec<DatapathTel>>,
 }
 
 impl std::fmt::Debug for RuntimeInner {
@@ -206,13 +204,6 @@ impl Runtime {
         let control = ControlPlane::new(config.control.heartbeat_interval);
         let plugin_down = plugins.iter().map(|_| AtomicBool::new(false)).collect();
         let telemetry = RuntimeTelemetry::new(&config.telemetry);
-        let dp_tel = plugins
-            .iter()
-            .map(|p| {
-                let name = p.technology().name().to_lowercase();
-                (0..nshards).map(|s| telemetry.datapath(&name, s)).collect()
-            })
-            .collect();
         let tunables = SnapshotCell::new(Tunables::for_burst(config.burst));
         let inner = Arc::new(RuntimeInner {
             config,
@@ -239,7 +230,6 @@ impl Runtime {
             health_eps,
             control: Mutex::new(control),
             telemetry,
-            dp_tel,
         });
         let runtime = Runtime { inner };
         runtime.spawn_threads()?;
@@ -491,7 +481,7 @@ impl Runtime {
 
     /// Counters snapshot.
     pub fn stats(&self) -> StatsSnapshot {
-        self.inner.stats.snapshot()
+        self.inner.stats_snapshot()
     }
 
     /// Outstanding slots across the runtime pools (diagnostics).

@@ -112,13 +112,12 @@ impl LatencyBreakdown {
     }
 }
 
-/// Aggregate counters of one runtime.
+/// Runtime-wide counters of one runtime.  What crosses a datapath
+/// (`tx_messages`, `rx_messages`, `gate_deferrals`) is counted by the
+/// polling shard it crosses, not here; [`StatsSnapshot`] carries the
+/// sums.
 #[derive(Debug, Default)]
 pub struct RuntimeStats {
-    /// Messages handed to a datapath for remote delivery.
-    pub tx_messages: AtomicU64,
-    /// Messages received from a datapath.
-    pub rx_messages: AtomicU64,
     /// Local (same-host, shared-memory) deliveries.
     pub local_deliveries: AtomicU64,
     /// Deliveries dropped because a sink queue was full.
@@ -150,13 +149,10 @@ pub struct RuntimeStats {
     pub failback_events: AtomicU64,
     /// Messages rerouted over kernel UDP because their datapath was down.
     pub failover_messages: AtomicU64,
-    /// Scheduler passes in which a queued frame was held back by a
-    /// closed gate, the guard band, or a too-short remaining window
-    /// (time-aware shaping only; summed across classes).
-    pub gate_deferrals: AtomicU64,
 }
 
-/// Plain-data snapshot of [`RuntimeStats`].
+/// Plain-data snapshot of a runtime's counters: [`RuntimeStats`] plus
+/// the per-shard datapath counts, summed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Messages handed to a datapath for remote delivery.
@@ -193,7 +189,9 @@ pub struct StatsSnapshot {
     pub failback_events: u64,
     /// Messages rerouted during failover.
     pub failover_messages: u64,
-    /// Frames held back by gates/guard bands (time-aware shaping).
+    /// Scheduler passes in which a queued frame was held back by a
+    /// closed gate, the guard band, or a too-short remaining window
+    /// (time-aware shaping only; summed across shards and classes).
     pub gate_deferrals: u64,
 }
 
@@ -228,10 +226,14 @@ impl StatsSnapshot {
 }
 
 impl RuntimeStats {
+    /// The runtime-wide part of a snapshot; the three datapath counts
+    /// are left at zero for the owner of the shards to add
+    /// (`RuntimeInner::stats_snapshot`).
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            tx_messages: self.tx_messages.load(Ordering::Relaxed),
-            rx_messages: self.rx_messages.load(Ordering::Relaxed),
+            tx_messages: 0,
+            rx_messages: 0,
+            gate_deferrals: 0,
             local_deliveries: self.local_deliveries.load(Ordering::Relaxed),
             sink_drops: self.sink_drops.load(Ordering::Relaxed),
             control_messages: self.control_messages.load(Ordering::Relaxed),
@@ -247,7 +249,6 @@ impl RuntimeStats {
             failover_events: self.failover_events.load(Ordering::Relaxed),
             failback_events: self.failback_events.load(Ordering::Relaxed),
             failover_messages: self.failover_messages.load(Ordering::Relaxed),
-            gate_deferrals: self.gate_deferrals.load(Ordering::Relaxed),
         }
     }
 }
@@ -365,11 +366,16 @@ mod tests {
     #[test]
     fn stats_snapshot_reflects_counters() {
         let stats = RuntimeStats::default();
-        stats.tx_messages.store(7, Ordering::Relaxed);
+        stats.local_deliveries.store(7, Ordering::Relaxed);
         stats.sink_drops.store(2, Ordering::Relaxed);
         let snap = stats.snapshot();
-        assert_eq!(snap.tx_messages, 7);
+        assert_eq!(snap.local_deliveries, 7);
         assert_eq!(snap.sink_drops, 2);
-        assert_eq!(snap.rx_messages, 0);
+        assert_eq!(snap.idle_polls, 0);
+        // Counted per shard and summed by the runtime, not kept here.
+        assert_eq!(
+            (snap.tx_messages, snap.rx_messages, snap.gate_deferrals),
+            (0, 0, 0)
+        );
     }
 }

@@ -1,11 +1,14 @@
 //! Runtime telemetry glue: configuration, recorder handles, and the
 //! introspection endpoint plumbing.
 //!
-//! Everything datapath-facing lives behind thin wrapper types that
-//! forward to `insane-telemetry` recorders when recording is enabled
-//! ([`TelemetryConfig::enabled`]) and are inert otherwise: the switch
-//! is a run-time one, so call sites in the runtime and client library
-//! are identical either way.
+//! Latency recording sits behind one thin wrapper, [`SinkTel`], that
+//! forwards to `insane-telemetry` recorders when recording is enabled
+//! ([`TelemetryConfig::enabled`]) and is inert otherwise: the switch is
+//! a run-time one, so call sites in the runtime and client library are
+//! identical either way.  Counters do not depend on the switch: each
+//! polling shard counts what crosses it, the runtime and the pools
+//! count the rest, and the introspection document reads them all where
+//! they live.
 //!
 //! The span points instrumented across the stack:
 //!
@@ -14,10 +17,10 @@
 //!   snapshot.
 //! * **emit** — `MessageMeta::emit_ns`, stamped by `Source::emit`.
 //! * **tx** — `MessageMeta::wire_start_ns`, stamped when a datapath
-//!   plugin puts the frame on the wire; per-datapath `tx_messages` /
-//!   `scheduled` counters.
+//!   plugin puts the frame on the wire; per-shard `tx_messages` /
+//!   `scheduled` / per-class `gate_deferrals` counters.
 //! * **rx** — wire end, derived from the receive timestamp and modeled
-//!   wire time; per-datapath `rx_messages` counters.
+//!   wire time; per-shard `rx_messages` counters.
 //! * **consume** — `Sink::consume` (or the sink callback), where the
 //!   [`LatencyBreakdown`] is computed and recorded into the stream's
 //!   histograms.
@@ -80,8 +83,7 @@ mod glue {
     use super::TelemetryConfig;
     use crate::stats::{LatencyBreakdown, MessageMeta};
     use insane_telemetry::{
-        BreakdownSample, DatapathTelemetry, Registry, RegistrySnapshot, StreamTelemetry,
-        TenantTelemetry,
+        BreakdownSample, Registry, RegistrySnapshot, StreamTelemetry, TenantTelemetry,
     };
     use insane_tsn::TrafficClass;
     use std::sync::Arc;
@@ -101,15 +103,6 @@ mod glue {
                     .then(|| Arc::new(Registry::new(cfg.sample_every))),
                 budget_ns: cfg.latency_budget_ns,
             }
-        }
-
-        /// Registers the counter bundle for one shard of one datapath.
-        pub(crate) fn datapath(&self, name: &str, shard: usize) -> DatapathTel {
-            DatapathTel(
-                self.registry
-                    .as_ref()
-                    .map(|reg| reg.register_datapath_shard(name, shard)),
-            )
         }
 
         /// Returns (creating on first use) the per-stream recorder
@@ -134,45 +127,10 @@ mod glue {
             }))
         }
 
-        /// Snapshot of every stream/datapath recorder (None when
+        /// Snapshot of every stream/tenant recorder (None when
         /// recording is disabled).
         pub(crate) fn snapshot(&self) -> Option<RegistrySnapshot> {
             self.registry.as_ref().map(|reg| reg.snapshot())
-        }
-    }
-
-    /// Per-datapath counter handle held by the polling loop.
-    #[derive(Debug)]
-    pub(crate) struct DatapathTel(Option<Arc<DatapathTelemetry>>);
-
-    impl DatapathTel {
-        pub(crate) fn on_tx(&self, n: u64) {
-            if let Some(t) = &self.0 {
-                t.tx_messages.add(n);
-            }
-        }
-
-        pub(crate) fn on_rx(&self, n: u64) {
-            if let Some(t) = &self.0 {
-                t.rx_messages.add(n);
-            }
-        }
-
-        pub(crate) fn on_scheduled(&self, n: u64) {
-            if let Some(t) = &self.0 {
-                t.scheduled.add(n);
-            }
-        }
-
-        /// Folds one batch of per-class gate-deferral events (taken from
-        /// a time-aware scheduler after a drain pass) into the shard's
-        /// per-class counters.
-        pub(crate) fn on_gate_deferred(&self, per_class: &[u64; 8]) {
-            if let Some(t) = &self.0 {
-                for (counter, &n) in t.gate_deferrals.iter().zip(per_class) {
-                    counter.add(n);
-                }
-            }
         }
     }
 
@@ -193,26 +151,24 @@ mod glue {
         /// is only computed when a recorder is attached.
         pub(crate) fn observe(&self, meta: &MessageMeta, consumed_ns: u64) {
             if let Some((stream, tenant)) = &self.0 {
+                // A message straight off a sink has no fragment wait:
+                // that residue exists only on the copy a reassembler
+                // (Lunar's frames) attributes after consume.
                 let b = LatencyBreakdown::from_meta(meta, consumed_ns);
-                let sample = to_sample(&b);
+                let sample = BreakdownSample {
+                    send_ns: b.send_ns,
+                    network_ns: b.network_ns,
+                    receive_ns: b.receive_ns,
+                    processing_ns: b.processing_ns,
+                };
                 stream.observe(&sample);
                 tenant.observe_total(sample.total_ns());
             }
         }
     }
-
-    fn to_sample(b: &LatencyBreakdown) -> BreakdownSample {
-        BreakdownSample {
-            send_ns: b.send_ns,
-            network_ns: b.network_ns,
-            receive_ns: b.receive_ns,
-            processing_ns: b.processing_ns,
-            reassembly_ns: b.reassembly_ns,
-        }
-    }
 }
 
-pub(crate) use glue::{DatapathTel, RuntimeTelemetry, SinkTel};
+pub(crate) use glue::{RuntimeTelemetry, SinkTel};
 
 /// The Unix-domain-socket introspection server.
 ///
@@ -289,9 +245,10 @@ pub(crate) mod introspection {
         pub(crate) fn introspection_json(&self) -> String {
             use insane_telemetry::Value;
             let reg = self.telemetry.snapshot();
-            // One datapath entry per (plugin, shard), combining the
-            // telemetry counters (when recording is enabled) with the
-            // health gate and the shard's live scheduler occupancy.
+            // One datapath entry per (plugin, shard), read from the shard
+            // it describes: its counters (live whether or not latency
+            // recording is on), the plugin's health gate and the shard's
+            // scheduler occupancy.
             let nshards = self.config().shards_per_datapath;
             let datapaths: Vec<Value> = self
                 .plugins
@@ -299,16 +256,8 @@ pub(crate) mod introspection {
                 .enumerate()
                 .flat_map(|(idx, plugin)| {
                     let name = plugin.technology().name().to_lowercase();
-                    let reg = reg.as_ref();
                     (0..nshards).map(move |s| {
-                        // Registration order in `Runtime::start` is
-                        // datapath-major, shard-minor.
-                        let counters = reg
-                            .and_then(|r| r.datapaths.get(idx * nshards + s))
-                            .filter(|d| d.name == name && d.shard == s)
-                            .cloned()
-                            .unwrap_or_default();
-                        let (queued, burst) = self.shard_gauges(idx, s);
+                        let row = self.shard_snapshot(idx, s);
                         Value::object([
                             ("technology", Value::from(name.clone())),
                             ("shard", Value::from(s as u64)),
@@ -316,11 +265,17 @@ pub(crate) mod introspection {
                                 "down",
                                 Value::Bool(self.plugin_down[idx].load(Ordering::Relaxed)),
                             ),
-                            ("tx_messages", Value::from(counters.tx_messages)),
-                            ("rx_messages", Value::from(counters.rx_messages)),
-                            ("scheduled", Value::from(counters.scheduled)),
-                            ("queued", Value::from(queued)),
-                            ("burst", Value::from(burst)),
+                            ("tx_messages", Value::from(row.tx_messages)),
+                            ("rx_messages", Value::from(row.rx_messages)),
+                            ("scheduled", Value::from(row.scheduled)),
+                            (
+                                "gate_deferrals",
+                                Value::Array(
+                                    row.gate_deferrals.iter().map(|&n| Value::from(n)).collect(),
+                                ),
+                            ),
+                            ("queued", Value::from(row.queued)),
+                            ("burst", Value::from(row.burst)),
                         ])
                     })
                 })
@@ -398,7 +353,7 @@ pub(crate) mod introspection {
                     "sample_every",
                     Value::from(reg.as_ref().map(|r| r.sample_every).unwrap_or(0)),
                 ),
-                ("counters", self.stats.snapshot().to_json()),
+                ("counters", self.stats_snapshot().to_json()),
                 ("streams", Value::Array(streams)),
                 ("datapaths", Value::Array(datapaths)),
                 ("pools", Value::Array(pools)),
@@ -500,11 +455,7 @@ mod tests {
     fn disabled_config_creates_no_recorders() {
         let tel = RuntimeTelemetry::new(&TelemetryConfig::disabled());
         assert!(tel.snapshot().is_none());
-        // Handles from a disabled root are inert but callable.
-        let dp = tel.datapath("kernel-udp", 0);
-        dp.on_tx(1);
-        dp.on_rx(1);
-        dp.on_scheduled(1);
+        // A handle from a disabled root is inert but callable.
         let sink = tel.stream(1, insane_tsn::TrafficClass::BEST_EFFORT, 0);
         sink.observe(
             &crate::stats::MessageMeta {

@@ -831,6 +831,129 @@ fn telemetry_records_streams_datapaths_and_budget_violations() {
 }
 
 #[test]
+fn shard_rows_are_live_without_recording_and_sum_to_the_counters() {
+    use insane_core::{TelemetryConfig, Tunables};
+    use insane_telemetry::Value;
+    const CHANNELS: u32 = 4;
+    const PER_CHANNEL: u64 = 5;
+    const N: u64 = CHANNELS as u64 * PER_CHANNEL;
+
+    // Latency recording off on both ends: the datapath counts must not
+    // depend on it.  Two shards, so the rows have something to sum.
+    let fabric = Fabric::new(TestbedProfile::local());
+    let host_a = fabric.add_host("a");
+    let host_b = fabric.add_host("b");
+    let cfg = |id| {
+        manual_config(id)
+            .with_technologies(&[Technology::KernelUdp])
+            .with_shards_per_datapath(2)
+            .with_telemetry(TelemetryConfig::disabled())
+    };
+    let gated = cfg(1).with_scheduler(SchedulerChoice::TimeAware {
+        critical_window: Duration::from_millis(45),
+        cycle: Duration::from_millis(50),
+        guard_band: Duration::ZERO,
+        frame_tx: Duration::from_micros(1),
+    });
+    let rt_a = Runtime::start(gated, &fabric, host_a).unwrap();
+    let rt_b = Runtime::start(cfg(2), &fabric, host_b).unwrap();
+    rt_a.add_peer(host_b).unwrap();
+    poll_until_quiescent(&[&rt_a, &rt_b], 10_000);
+
+    let session_a = Session::connect(&rt_a).unwrap();
+    let session_b = Session::connect(&rt_b).unwrap();
+    let stream_b = session_b.create_stream(QosPolicy::slow()).unwrap();
+    let sinks: Vec<_> = (0..CHANNELS)
+        .map(|c| stream_b.create_sink(ChannelId(20 + c)).unwrap())
+        .collect();
+    poll_until_quiescent(&[&rt_a, &rt_b], 10_000);
+
+    // A guard band wider than best effort's 5 ms window holds every
+    // frame (as in `tas_guard_band_reloads_and_counts_deferrals`), so
+    // each pass over a queued frame is a counted class-0 deferral.
+    let guard = |ns| Tunables {
+        tas_guard_band_ns: Some(ns),
+        ..Tunables::default()
+    };
+    rt_a.reload_tunables(guard(49_000_000)).unwrap();
+    // One stream per channel: streams, not channels, pick the TX shard.
+    let streams: Vec<_> = (0..CHANNELS)
+        .map(|_| session_a.create_stream(QosPolicy::slow()).unwrap())
+        .collect();
+    for (c, stream) in (0..CHANNELS).zip(&streams) {
+        let source = stream.create_source(ChannelId(20 + c)).unwrap();
+        for _ in 0..PER_CHANNEL {
+            let mut buf = source.get_buffer(4).unwrap();
+            buf.copy_from_slice(b"held");
+            source.emit(buf).unwrap();
+        }
+    }
+    for _ in 0..50 {
+        rt_a.poll_once();
+        rt_b.poll_once();
+    }
+    rt_a.reload_tunables(guard(0)).unwrap();
+    let mut consumed = 0;
+    for _ in 0..200_000 {
+        rt_a.poll_once();
+        rt_b.poll_once();
+        for sink in &sinks {
+            while sink.consume(ConsumeMode::NonBlocking).is_ok() {
+                consumed += 1;
+            }
+        }
+        if consumed == N {
+            break;
+        }
+    }
+    assert_eq!(consumed, N, "every held frame flows once the guard drops");
+
+    let doc_a = Value::parse(&rt_a.telemetry_json()).unwrap();
+    let doc_b = Value::parse(&rt_b.telemetry_json()).unwrap();
+    assert_eq!(
+        doc_a.get("telemetry_enabled").and_then(Value::as_bool),
+        Some(false)
+    );
+    fn rows(doc: &Value) -> &[Value] {
+        doc.get("datapaths").and_then(Value::as_array).unwrap()
+    }
+    let sum = |doc: &Value, key: &str| -> u64 {
+        let of = |row: &Value| row.get(key).and_then(Value::as_u64).unwrap();
+        rows(doc).iter().map(of).sum()
+    };
+    let counter = |doc: &Value, key: &str| {
+        let counters = doc.get("counters").unwrap();
+        counters.get(key).and_then(Value::as_u64).unwrap()
+    };
+    assert_eq!(rows(&doc_a).len(), 2, "one row per kernel-UDP shard");
+    assert_eq!(sum(&doc_a, "tx_messages"), N);
+    assert_eq!(sum(&doc_a, "scheduled"), N);
+    assert_eq!(rt_a.stats().tx_messages, N);
+    assert_eq!(counter(&doc_a, "tx_messages"), N);
+    assert_eq!(sum(&doc_b, "rx_messages"), N);
+    assert_eq!(rt_b.stats().rx_messages, N);
+    assert_eq!(counter(&doc_b, "rx_messages"), N);
+
+    // Each shard keeps its own count (stream ids are sequential and the
+    // shard hash is stable, so these four streams land on both shards).
+    let mut deferred = 0;
+    for (shard, row) in rows(&doc_a).iter().enumerate() {
+        let of = |key: &str| row.get(key).and_then(Value::as_u64).unwrap();
+        assert_eq!(of("shard"), shard as u64);
+        assert!(of("tx_messages") > 0, "shard {shard} carried traffic");
+        assert_eq!(of("tx_messages"), of("scheduled"));
+        let per_class = row.get("gate_deferrals").and_then(Value::as_array).unwrap();
+        let per_class: Vec<u64> = per_class.iter().map(|n| n.as_u64().unwrap()).collect();
+        assert_eq!(per_class.len(), 8, "one count per 802.1Q class");
+        assert_eq!(per_class[1..], [0; 7], "only best effort was queued");
+        deferred += per_class[0];
+    }
+    assert!(deferred > 0, "held frames were deferred");
+    assert_eq!(rt_a.stats().gate_deferrals, deferred);
+    assert_eq!(counter(&doc_a, "gate_deferrals"), deferred);
+}
+
+#[test]
 fn introspection_endpoint_serves_stats_over_unix_socket() {
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::UnixStream;

@@ -4,9 +4,11 @@
 //! geometrically: each power-of-two magnitude is split into
 //! `2^SUB_BITS` linear sub-buckets, bounding the relative quantile
 //! error at `2^-SUB_BITS` (6.25%) while covering the full `u64` range
-//! with under a thousand buckets. Recording is a single relaxed
-//! `fetch_add` on an atomic bucket counter — no locks, no allocation —
-//! so polling threads can record from the datapath hot loop.
+//! with under a thousand buckets. Recording is three relaxed atomic
+//! RMWs — the bucket, the exact sum, the exact max; no locks, no
+//! allocation — so polling threads can record from the datapath hot
+//! loop. The observation count is not stored: it is the sum of the
+//! buckets, taken when a snapshot is.
 //!
 //! [`ShardedHistogram`] spreads recorders across a small set of
 //! [`LogHistogram`] shards (one picked per thread) so concurrent
@@ -73,11 +75,10 @@ fn bucket_mid(idx: usize) -> u64 {
 }
 
 /// A single lock-free histogram: fixed atomic bucket array plus exact
-/// count / sum / max side-channels.
+/// sum / max side-channels.
 #[derive(Debug)]
 pub struct LogHistogram {
     buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -95,7 +96,6 @@ impl LogHistogram {
         buckets.resize_with(BUCKETS, AtomicU64::default);
         Self {
             buckets: buckets.into_boxed_slice(),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -106,7 +106,6 @@ impl LogHistogram {
         if let Some(b) = self.buckets.get(bucket_index(v)) {
             b.fetch_add(1, Ordering::Relaxed);
         }
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
@@ -133,8 +132,10 @@ impl LogHistogram {
 }
 
 /// Round-robin thread-to-shard assignment, fixed per thread on first
-/// use so a polling thread always hits the same shard.
-fn shard_of_thread() -> usize {
+/// use so a polling thread always hits the same shard.  One
+/// thread-local lookup: a caller recording into several histograms
+/// looks its shard up once and uses [`ShardedHistogram::record_in`].
+pub(crate) fn shard_of_thread() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     std::thread_local! {
         static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed) & (SHARDS - 1);
@@ -165,14 +166,15 @@ impl ShardedHistogram {
 
     /// Records one value into the calling thread's shard.
     pub fn record(&self, v: u64) {
-        if let Some(shard) = self.shards.get(shard_of_thread()) {
-            shard.record(v);
-        }
+        self.record_in(shard_of_thread(), v);
     }
 
-    /// Per-shard snapshots (exposed for shard-merge testing).
-    pub fn shard_snapshots(&self) -> Vec<HistogramSnapshot> {
-        self.shards.iter().map(LogHistogram::snapshot).collect()
+    /// Records one value into shard `shard` (the caller's
+    /// [`shard_of_thread`]).
+    pub(crate) fn record_in(&self, shard: usize, v: u64) {
+        if let Some(shard) = self.shards.get(shard) {
+            shard.record(v);
+        }
     }
 
     /// Snapshot of the merged distribution across all shards.
@@ -380,5 +382,26 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.count, 8_000);
         assert_eq!(snap.max, 7_999);
+    }
+
+    #[test]
+    fn snapshot_count_is_the_bucket_sum_under_concurrent_records() {
+        // One `LogHistogram` hit by every thread at once: the count a
+        // snapshot reports is derived from the buckets, so no recorder
+        // interleaving can make the two disagree.
+        let h = LogHistogram::new();
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let h = &h;
+                scope.spawn(move || {
+                    for i in 0..5_000u64 {
+                        h.record(i << t);
+                    }
+                });
+            }
+        });
+        let snap = h.snapshot();
+        assert_eq!(snap.count, 20_000);
+        assert_eq!(snap.count, snap.counts.iter().sum::<u64>());
     }
 }

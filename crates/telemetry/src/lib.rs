@@ -6,24 +6,26 @@
 //! throughput measurement, so observability is a first-class runtime
 //! subsystem here rather than a bench-only afterthought:
 //!
-//! * [`recorder`] — lock-free scalar recorders (counters, gauges) and
-//!   the deterministic 1-in-N [`recorder::Sampler`] that keeps the
-//!   record path branch-cheap.
+//! * [`recorder`] — the lock-free event [`Counter`].
 //! * [`hist`] — log-bucketed HDR-style latency histograms with
 //!   p50/p90/p99/p99.9 extraction, sharded per thread so concurrent
 //!   polling threads never contend.
-//! * [`registry`] — the per-runtime tree of per-stream and
-//!   per-datapath recorder bundles, snapshotted into plain data.
+//! * [`registry`] — the per-runtime tree of per-stream and per-tenant
+//!   recorder bundles, snapshotted into plain data.  Datapath counters
+//!   are not here: each polling shard of `insane-core` owns its own.
 //! * [`json`] — a dependency-free JSON writer/parser used by the
 //!   introspection endpoint, `insanectl`, and the BENCH exporters.
 //! * [`schema`] — the contract of the BENCH export documents (one table,
 //!   one interpreter), shared by the producer (`crates/bench`) and the
 //!   consumers (`insanectl`, CI).
 //!
-//! Everything on the record path is a handful of relaxed atomic
-//! operations: no locks, no heap allocation, no syscalls. Locks exist
-//! only at registration and snapshot time. The crate is panic-free
-//! (checked by `insane-lint`) and contains no `unsafe`.
+//! Everything on the record path is a counted number of relaxed atomic
+//! operations ([`registry`] counts them) on state a snapshot reads: no
+//! locks, no heap allocation, no syscalls, nothing kept twice. Locks
+//! exist only at registration and snapshot time. There is no run-time
+//! switch in this crate: a runtime with telemetry off builds no
+//! [`Registry`]. The crate is panic-free (checked by `insane-lint`) and
+//! contains no `unsafe`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,11 +38,11 @@ pub mod schema;
 
 pub use hist::{HistogramSnapshot, LogHistogram, ShardedHistogram, Summary};
 pub use json::Value;
-pub use recorder::{Counter, Gauge, Sampler};
+pub use recorder::Counter;
 pub use registry::{
-    BreakdownSample, DatapathSnapshot, DatapathTelemetry, Registry, RegistrySnapshot,
-    StreamSnapshot, StreamTelemetry, TenantSnapshot, TenantTelemetry,
+    BreakdownSample, Registry, RegistrySnapshot, StreamSnapshot, StreamTelemetry, TenantSnapshot,
+    TenantTelemetry,
 };
 
 /// Schema identifier served by the runtime introspection endpoint.
-pub const SNAPSHOT_SCHEMA: &str = "insane-telemetry-v1";
+pub const SNAPSHOT_SCHEMA: &str = "insane-telemetry-v2";

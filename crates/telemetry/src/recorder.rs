@@ -1,5 +1,4 @@
-//! Scalar lock-free recorders: counters, gauges, and the 1-in-N
-//! sampler that keeps the hot path branch-cheap.
+//! The scalar lock-free recorder: an event counter.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -13,16 +12,10 @@ impl Counter {
         Self::default()
     }
 
-    /// Adds one.
-    pub fn incr(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        if n != 0 {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
+    /// Adds one; returns the count before this event, so the caller
+    /// that needs "is this the N-th one" pays no second counter.
+    pub fn incr(&self) -> u64 {
+        self.0.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Current value.
@@ -31,121 +24,15 @@ impl Counter {
     }
 }
 
-/// Instantaneous level (queue depth, pool occupancy, …).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Creates a gauge at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overwrites the level.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Raises the level if `v` is higher (high-water tracking).
-    pub fn raise(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current level.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Deterministic 1-in-N sampler.
-///
-/// `hit()` is one relaxed `fetch_add` plus a compare — cheap enough to
-/// sit on the consume path — and admits exactly every `period`-th
-/// event, so sampled histograms still see a representative slice of
-/// the distribution rather than a bursty prefix. A period of 0
-/// disables sampling entirely (`hit()` is always false); a period of 1
-/// records every event.
-#[derive(Debug)]
-pub struct Sampler {
-    period: AtomicU64,
-    ticks: AtomicU64,
-}
-
-impl Default for Sampler {
-    fn default() -> Self {
-        Self::every(1)
-    }
-}
-
-impl Sampler {
-    /// Creates a sampler admitting every `period`-th event.
-    pub fn every(period: u64) -> Self {
-        Self {
-            period: AtomicU64::new(period),
-            ticks: AtomicU64::new(0),
-        }
-    }
-
-    /// Re-configures the period at runtime (0 = off, 1 = everything).
-    pub fn set_period(&self, period: u64) {
-        self.period.store(period, Ordering::Relaxed);
-    }
-
-    /// Currently configured period.
-    pub fn period(&self) -> u64 {
-        self.period.load(Ordering::Relaxed)
-    }
-
-    /// Counts one event; returns whether it should be recorded.
-    pub fn hit(&self) -> bool {
-        let period = self.period.load(Ordering::Relaxed);
-        if period == 0 {
-            return false;
-        }
-        let tick = self.ticks.fetch_add(1, Ordering::Relaxed);
-        tick.is_multiple_of(period)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_counts_and_numbers_its_events() {
         let c = Counter::new();
-        c.incr();
-        c.add(4);
-        c.add(0);
-        assert_eq!(c.get(), 5);
-
-        let g = Gauge::new();
-        g.set(7);
-        g.raise(3);
-        assert_eq!(g.get(), 7);
-        g.raise(11);
-        assert_eq!(g.get(), 11);
-    }
-
-    #[test]
-    fn sampler_admits_exactly_one_in_n() {
-        let s = Sampler::every(4);
-        let hits = (0..100).filter(|_| s.hit()).count();
-        assert_eq!(hits, 25);
-    }
-
-    #[test]
-    fn sampler_period_edge_cases() {
-        let off = Sampler::every(0);
-        assert!((0..10).all(|_| !off.hit()));
-
-        let all = Sampler::every(1);
-        assert!((0..10).all(|_| all.hit()));
-
-        let s = Sampler::every(2);
-        s.set_period(0);
-        assert!(!s.hit());
-        s.set_period(1);
-        assert!(s.hit());
+        assert_eq!(c.incr(), 0);
+        assert_eq!(c.incr(), 1);
+        assert_eq!(c.get(), 2);
     }
 }

@@ -1,19 +1,30 @@
-//! The telemetry registry: owns every per-stream and per-datapath
+//! The telemetry registry: owns every per-stream and per-tenant
 //! recorder bundle and turns them into plain-data snapshots.
 //!
-//! The registry lock is only taken when a stream/datapath is
+//! The registry lock is only taken when a stream or tenant is
 //! registered or a snapshot is requested — never on the record path.
 //! Hot-path callers hold an `Arc` to their own [`StreamTelemetry`] /
-//! [`DatapathTelemetry`] and record through lock-free atomics.
+//! [`TenantTelemetry`] and record through lock-free atomics.
+//!
+//! A bundle stores only what its snapshot reads, once.  `consumed` is
+//! the one event count: the value its `fetch_add` returns numbers the
+//! message, which decides the 1-in-N sampling, and `sampled` is the
+//! `total` histogram's count, read when a snapshot is taken.  What one
+//! [`StreamTelemetry::observe`] plus one
+//! [`TenantTelemetry::observe_total`] costs is therefore countable:
+//! recorded (every message at the default 1-in-1) it is 20 relaxed
+//! atomic RMWs — 1 + 5 histograms × 3 for the stream, 1 + 3 for the
+//! tenant — and 2 thread-local lookups; sampled out it is the two
+//! `consumed` RMWs, two remainders and the budget compare.  Whether
+//! recording happens at all is not decided here: a runtime with
+//! telemetry off builds no `Registry`.
 
-use crate::hist::{ShardedHistogram, Summary};
+use crate::hist::{shard_of_thread, ShardedHistogram, Summary};
 use crate::json::Value;
-use crate::recorder::{Counter, Sampler};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::recorder::Counter;
 use std::sync::{Arc, RwLock};
 
-/// One latency observation, broken into the Fig. 6 pipeline components
-/// plus the fragment-reassembly wait introduced by this crate.
+/// One latency observation, broken into the Fig. 6 pipeline components.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BreakdownSample {
     /// Emit → wire (sender-side middleware + datapath TX).
@@ -24,8 +35,6 @@ pub struct BreakdownSample {
     pub receive_ns: u64,
     /// Sink queue → consume (application-side delay).
     pub processing_ns: u64,
-    /// Extra wait for sibling fragments during reassembly.
-    pub reassembly_ns: u64,
 }
 
 impl BreakdownSample {
@@ -35,8 +44,15 @@ impl BreakdownSample {
             .saturating_add(self.network_ns)
             .saturating_add(self.receive_ns)
             .saturating_add(self.processing_ns)
-            .saturating_add(self.reassembly_ns)
     }
+}
+
+/// Whether event number `n` (counted from 0) is one of the 1-in-`period`
+/// recorded into histograms: exactly every `period`-th, so a sampled
+/// histogram sees a representative slice of the distribution rather
+/// than a bursty prefix.  A period of 0 records nothing, 1 everything.
+fn is_sampled(n: u64, period: u64) -> bool {
+    period != 0 && n.is_multiple_of(period)
 }
 
 /// Recorder bundle for one stream (keyed by channel).
@@ -44,12 +60,11 @@ impl BreakdownSample {
 pub struct StreamTelemetry {
     channel: u32,
     class: String,
-    budget_ns: AtomicU64,
-    sampler: Sampler,
+    /// Latency budget; 0 means no budget is enforced.
+    budget_ns: u64,
+    sample_every: u64,
     /// Messages consumed on this stream (counted even when sampled out).
     pub consumed: Counter,
-    /// Observations actually recorded into the histograms.
-    pub sampled: Counter,
     /// Consumed messages whose total latency exceeded the QoS budget.
     pub budget_violations: Counter,
     total: ShardedHistogram,
@@ -57,7 +72,6 @@ pub struct StreamTelemetry {
     network: ShardedHistogram,
     receive: ShardedHistogram,
     processing: ShardedHistogram,
-    reassembly: ShardedHistogram,
 }
 
 impl StreamTelemetry {
@@ -65,23 +79,16 @@ impl StreamTelemetry {
         Self {
             channel,
             class: class.to_string(),
-            budget_ns: AtomicU64::new(budget_ns),
-            sampler: Sampler::every(sample_every),
+            budget_ns,
+            sample_every,
             consumed: Counter::new(),
-            sampled: Counter::new(),
             budget_violations: Counter::new(),
             total: ShardedHistogram::new(),
             send: ShardedHistogram::new(),
             network: ShardedHistogram::new(),
             receive: ShardedHistogram::new(),
             processing: ShardedHistogram::new(),
-            reassembly: ShardedHistogram::new(),
         }
-    }
-
-    /// Channel this stream records for.
-    pub fn channel(&self) -> u32 {
-        self.channel
     }
 
     /// Traffic-class label (`best-effort`, `tc5`, …).
@@ -89,50 +96,43 @@ impl StreamTelemetry {
         &self.class
     }
 
-    /// Latency budget; 0 means no budget is enforced.
-    pub fn budget_ns(&self) -> u64 {
-        self.budget_ns.load(Ordering::Relaxed)
-    }
-
     /// Records one consumed-message latency breakdown.
     ///
     /// The consume counter and budget check run on every call; the
-    /// histograms only absorb every `sample_every`-th observation, so
-    /// the common case is two relaxed `fetch_add`s and a compare.
+    /// histograms only absorb every `sample_every`-th observation (the
+    /// module docs count what either case costs).
     pub fn observe(&self, sample: &BreakdownSample) {
-        self.consumed.incr();
+        let n = self.consumed.incr();
         let total = sample.total_ns();
-        let budget = self.budget_ns.load(Ordering::Relaxed);
-        if budget > 0 && total > budget {
+        if self.budget_ns > 0 && total > self.budget_ns {
             self.budget_violations.incr();
         }
-        if !self.sampler.hit() {
+        if !is_sampled(n, self.sample_every) {
             return;
         }
-        self.sampled.incr();
-        self.total.record(total);
-        self.send.record(sample.send_ns);
-        self.network.record(sample.network_ns);
-        self.receive.record(sample.receive_ns);
-        self.processing.record(sample.processing_ns);
-        self.reassembly.record(sample.reassembly_ns);
+        let shard = shard_of_thread();
+        self.total.record_in(shard, total);
+        self.send.record_in(shard, sample.send_ns);
+        self.network.record_in(shard, sample.network_ns);
+        self.receive.record_in(shard, sample.receive_ns);
+        self.processing.record_in(shard, sample.processing_ns);
     }
 
     /// Plain-data snapshot of this stream's recorders.
     pub fn snapshot(&self) -> StreamSnapshot {
+        let total = self.total.snapshot().summary();
         StreamSnapshot {
             channel: self.channel,
             class: self.class.clone(),
-            budget_ns: self.budget_ns(),
+            budget_ns: self.budget_ns,
             consumed: self.consumed.get(),
-            sampled: self.sampled.get(),
+            sampled: total.count,
             budget_violations: self.budget_violations.get(),
-            total: self.total.snapshot().summary(),
+            total,
             send: self.send.snapshot().summary(),
             network: self.network.snapshot().summary(),
             receive: self.receive.snapshot().summary(),
             processing: self.processing.snapshot().summary(),
-            reassembly: self.reassembly.snapshot().summary(),
         }
     }
 }
@@ -144,11 +144,9 @@ impl StreamTelemetry {
 #[derive(Debug)]
 pub struct TenantTelemetry {
     tenant: u16,
-    sampler: Sampler,
+    sample_every: u64,
     /// Messages consumed by this tenant (counted even when sampled out).
     pub consumed: Counter,
-    /// Observations actually recorded into the histogram.
-    pub sampled: Counter,
     total: ShardedHistogram,
 }
 
@@ -156,9 +154,8 @@ impl TenantTelemetry {
     fn new(tenant: u16, sample_every: u64) -> Self {
         Self {
             tenant,
-            sampler: Sampler::every(sample_every),
+            sample_every,
             consumed: Counter::new(),
-            sampled: Counter::new(),
             total: ShardedHistogram::new(),
         }
     }
@@ -170,75 +167,19 @@ impl TenantTelemetry {
 
     /// Records one consumed-message end-to-end latency for this tenant.
     pub fn observe_total(&self, total_ns: u64) {
-        self.consumed.incr();
-        if !self.sampler.hit() {
-            return;
+        if is_sampled(self.consumed.incr(), self.sample_every) {
+            self.total.record(total_ns);
         }
-        self.sampled.incr();
-        self.total.record(total_ns);
     }
 
     /// Plain-data snapshot of this tenant's recorders.
     pub fn snapshot(&self) -> TenantSnapshot {
+        let total = self.total.snapshot().summary();
         TenantSnapshot {
             tenant: self.tenant,
             consumed: self.consumed.get(),
-            sampled: self.sampled.get(),
-            total: self.total.snapshot().summary(),
-        }
-    }
-}
-
-/// Recorder bundle for one shard of one datapath plugin (an unsharded
-/// datapath is shard 0).
-#[derive(Debug)]
-pub struct DatapathTelemetry {
-    name: String,
-    shard: usize,
-    /// Messages put on the wire by this datapath shard.
-    pub tx_messages: Counter,
-    /// Messages received from this datapath shard.
-    pub rx_messages: Counter,
-    /// Messages enqueued into this shard's packet scheduler.
-    pub scheduled: Counter,
-    /// Per-traffic-class deferral events: scheduler passes in which a
-    /// queued frame was held back by a closed gate, the guard band, or
-    /// a remaining window too short to finish in (time-aware shaping
-    /// only; index = 802.1Q traffic class).
-    pub gate_deferrals: [Counter; 8],
-}
-
-impl DatapathTelemetry {
-    fn new(name: &str, shard: usize) -> Self {
-        Self {
-            name: name.to_string(),
-            shard,
-            tx_messages: Counter::new(),
-            rx_messages: Counter::new(),
-            scheduled: Counter::new(),
-            gate_deferrals: core::array::from_fn(|_| Counter::new()),
-        }
-    }
-
-    /// Technology label of the datapath (`kernel-udp`, `dpdk`, …).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Polling shard these counters belong to.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Plain-data snapshot of this datapath shard's counters.
-    pub fn snapshot(&self) -> DatapathSnapshot {
-        DatapathSnapshot {
-            name: self.name.clone(),
-            shard: self.shard,
-            tx_messages: self.tx_messages.get(),
-            rx_messages: self.rx_messages.get(),
-            scheduled: self.scheduled.get(),
-            gate_deferrals: core::array::from_fn(|i| self.gate_deferrals[i].get()),
+            sampled: total.count,
+            total,
         }
     }
 }
@@ -246,61 +187,19 @@ impl DatapathTelemetry {
 /// Root of the telemetry tree for one runtime.
 #[derive(Debug)]
 pub struct Registry {
-    enabled: AtomicBool,
-    sample_every: AtomicU64,
+    sample_every: u64,
     streams: RwLock<Vec<Arc<StreamTelemetry>>>,
-    datapaths: RwLock<Vec<Arc<DatapathTelemetry>>>,
     tenants: RwLock<Vec<Arc<TenantTelemetry>>>,
 }
 
-impl Default for Registry {
-    fn default() -> Self {
-        Self::new(1)
-    }
-}
-
 impl Registry {
-    /// Creates an enabled registry sampling every `sample_every`-th
-    /// observation into histograms (1 = everything, 0 = nothing).
+    /// Creates a registry sampling every `sample_every`-th observation
+    /// into histograms (1 = everything, 0 = nothing).
     pub fn new(sample_every: u64) -> Self {
         Self {
-            enabled: AtomicBool::new(true),
-            sample_every: AtomicU64::new(sample_every),
+            sample_every,
             streams: RwLock::new(Vec::new()),
-            datapaths: RwLock::new(Vec::new()),
             tenants: RwLock::new(Vec::new()),
-        }
-    }
-
-    /// Whether recording is enabled. Hot paths check this single
-    /// relaxed load before touching any recorder.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns recording on or off at runtime.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Currently configured histogram sampling period.
-    pub fn sample_every(&self) -> u64 {
-        self.sample_every.load(Ordering::Relaxed)
-    }
-
-    /// Re-configures the sampling period for existing and future
-    /// streams.
-    pub fn set_sample_every(&self, period: u64) {
-        self.sample_every.store(period, Ordering::Relaxed);
-        if let Ok(streams) = self.streams.read() {
-            for s in streams.iter() {
-                s.sampler.set_period(period);
-            }
-        }
-        if let Ok(tenants) = self.tenants.read() {
-            for t in tenants.iter() {
-                t.sampler.set_period(period);
-            }
         }
     }
 
@@ -324,7 +223,7 @@ impl Registry {
             channel,
             class,
             budget_ns,
-            self.sample_every(),
+            self.sample_every,
         ));
         streams.push(Arc::clone(&s));
         s
@@ -346,37 +245,15 @@ impl Registry {
         if let Some(t) = tenants.iter().find(|t| t.tenant == tenant) {
             return Arc::clone(t);
         }
-        let t = Arc::new(TenantTelemetry::new(tenant, self.sample_every()));
+        let t = Arc::new(TenantTelemetry::new(tenant, self.sample_every));
         tenants.push(Arc::clone(&t));
         t
     }
 
-    /// Registers a datapath recorder bundle for shard 0 (one per
-    /// plugin, at runtime start; unsharded engines use this form).
-    pub fn register_datapath(&self, name: &str) -> Arc<DatapathTelemetry> {
-        self.register_datapath_shard(name, 0)
-    }
-
-    /// Registers a datapath recorder bundle for one polling shard
-    /// (one per `(plugin, shard)` pair, at runtime start).
-    pub fn register_datapath_shard(&self, name: &str, shard: usize) -> Arc<DatapathTelemetry> {
-        let d = Arc::new(DatapathTelemetry::new(name, shard));
-        let mut datapaths = match self.datapaths.write() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        datapaths.push(Arc::clone(&d));
-        d
-    }
-
-    /// Snapshots every stream and datapath into plain data.
+    /// Snapshots every stream and tenant into plain data.
     pub fn snapshot(&self) -> RegistrySnapshot {
         let streams = match self.streams.read() {
             Ok(g) => g.iter().map(|s| s.snapshot()).collect(),
-            Err(_) => Vec::new(),
-        };
-        let datapaths = match self.datapaths.read() {
-            Ok(g) => g.iter().map(|d| d.snapshot()).collect(),
             Err(_) => Vec::new(),
         };
         let tenants = match self.tenants.read() {
@@ -384,10 +261,8 @@ impl Registry {
             Err(_) => Vec::new(),
         };
         RegistrySnapshot {
-            enabled: self.is_enabled(),
-            sample_every: self.sample_every(),
+            sample_every: self.sample_every,
             streams,
-            datapaths,
             tenants,
         }
     }
@@ -396,14 +271,10 @@ impl Registry {
 /// Plain-data snapshot of a whole [`Registry`].
 #[derive(Debug, Clone, Default)]
 pub struct RegistrySnapshot {
-    /// Whether recording was enabled at snapshot time.
-    pub enabled: bool,
     /// Histogram sampling period.
     pub sample_every: u64,
     /// Per-stream recorder snapshots.
     pub streams: Vec<StreamSnapshot>,
-    /// Per-datapath recorder snapshots.
-    pub datapaths: Vec<DatapathSnapshot>,
     /// Per-tenant recorder snapshots.
     pub tenants: Vec<TenantSnapshot>,
 }
@@ -419,7 +290,7 @@ pub struct StreamSnapshot {
     pub budget_ns: u64,
     /// Messages consumed.
     pub consumed: u64,
-    /// Observations recorded into histograms.
+    /// Observations recorded into histograms (`total.count`).
     pub sampled: u64,
     /// Budget violations.
     pub budget_violations: u64,
@@ -433,8 +304,6 @@ pub struct StreamSnapshot {
     pub receive: Summary,
     /// Processing-component summary.
     pub processing: Summary,
-    /// Reassembly-component summary.
-    pub reassembly: Summary,
 }
 
 /// Plain-data snapshot of one tenant's recorders.
@@ -444,27 +313,10 @@ pub struct TenantSnapshot {
     pub tenant: u16,
     /// Messages consumed by the tenant.
     pub consumed: u64,
-    /// Observations recorded into the histogram.
+    /// Observations recorded into the histogram (`total.count`).
     pub sampled: u64,
     /// End-to-end latency summary across all the tenant's streams.
     pub total: Summary,
-}
-
-/// Plain-data snapshot of one datapath shard's counters.
-#[derive(Debug, Clone, Default)]
-pub struct DatapathSnapshot {
-    /// Technology label.
-    pub name: String,
-    /// Polling shard (0 for unsharded datapaths).
-    pub shard: usize,
-    /// Messages put on the wire.
-    pub tx_messages: u64,
-    /// Messages received.
-    pub rx_messages: u64,
-    /// Messages enqueued into the packet scheduler.
-    pub scheduled: u64,
-    /// Per-traffic-class gate-deferral events (time-aware shaping).
-    pub gate_deferrals: [u64; 8],
 }
 
 fn summary_json(s: &Summary) -> Value {
@@ -494,68 +346,6 @@ impl StreamSnapshot {
             ("network", summary_json(&self.network)),
             ("receive", summary_json(&self.receive)),
             ("processing", summary_json(&self.processing)),
-            ("reassembly", summary_json(&self.reassembly)),
-        ])
-    }
-}
-
-impl TenantSnapshot {
-    /// JSON form, as served by the introspection endpoint.
-    pub fn to_json(&self) -> Value {
-        Value::object([
-            ("tenant", Value::from(u64::from(self.tenant))),
-            ("consumed", Value::from(self.consumed)),
-            ("sampled", Value::from(self.sampled)),
-            ("total", summary_json(&self.total)),
-        ])
-    }
-}
-
-impl DatapathSnapshot {
-    /// JSON form, as served by the introspection endpoint.
-    pub fn to_json(&self) -> Value {
-        Value::object([
-            ("technology", Value::from(self.name.as_str())),
-            ("shard", Value::from(self.shard as u64)),
-            ("tx_messages", Value::from(self.tx_messages)),
-            ("rx_messages", Value::from(self.rx_messages)),
-            ("scheduled", Value::from(self.scheduled)),
-            (
-                "gate_deferrals",
-                Value::Array(
-                    self.gate_deferrals
-                        .iter()
-                        .map(|&n| Value::from(n))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl RegistrySnapshot {
-    /// JSON form, as served by the introspection endpoint.
-    pub fn to_json(&self) -> Value {
-        Value::object([
-            ("enabled", Value::Bool(self.enabled)),
-            ("sample_every", Value::from(self.sample_every)),
-            (
-                "streams",
-                Value::Array(self.streams.iter().map(StreamSnapshot::to_json).collect()),
-            ),
-            (
-                "datapaths",
-                Value::Array(
-                    self.datapaths
-                        .iter()
-                        .map(DatapathSnapshot::to_json)
-                        .collect(),
-                ),
-            ),
-            (
-                "tenants",
-                Value::Array(self.tenants.iter().map(TenantSnapshot::to_json).collect()),
-            ),
         ])
     }
 }
@@ -583,7 +373,6 @@ mod tests {
             network_ns: 200,
             receive_ns: 50,
             processing_ns: 25,
-            reassembly_ns: 0,
         });
         s.observe(&BreakdownSample {
             send_ns: 900,
@@ -615,35 +404,71 @@ mod tests {
     }
 
     #[test]
-    fn datapath_counters_snapshot() {
-        let reg = Registry::new(1);
-        let d = reg.register_datapath("kernel-udp");
-        d.tx_messages.add(3);
-        d.rx_messages.incr();
-        d.scheduled.add(4);
-        let snap = reg.snapshot();
-        assert_eq!(snap.datapaths.len(), 1);
-        assert_eq!(snap.datapaths[0].name, "kernel-udp");
-        assert_eq!(snap.datapaths[0].tx_messages, 3);
-        assert_eq!(snap.datapaths[0].rx_messages, 1);
-        assert_eq!(snap.datapaths[0].scheduled, 4);
+    fn sampling_period_edge_cases() {
+        // 0 records nothing, 1 everything, N exactly every N-th
+        // starting with the first.
+        assert!((0..10).all(|n| !is_sampled(n, 0)));
+        assert!((0..10).all(|n| is_sampled(n, 1)));
+        assert_eq!((0..100).filter(|&n| is_sampled(n, 4)).count(), 25);
+        assert!(is_sampled(0, 4) && !is_sampled(1, 4));
+
+        let off = Registry::new(0);
+        let s = off.stream(3, "tc7", 1);
+        let t = off.tenant(3);
+        s.observe(&BreakdownSample {
+            send_ns: 10,
+            ..Default::default()
+        });
+        t.observe_total(10);
+        let (s, t) = (s.snapshot(), t.snapshot());
+        assert_eq!((s.consumed, s.sampled, s.budget_violations), (1, 0, 1));
+        assert_eq!((t.consumed, t.sampled), (1, 0));
     }
 
     #[test]
-    fn datapath_shards_are_distinct_bundles() {
-        let reg = Registry::new(1);
-        let s0 = reg.register_datapath_shard("dpdk", 0);
-        let s1 = reg.register_datapath_shard("dpdk", 1);
-        s0.tx_messages.add(2);
-        s1.tx_messages.add(5);
-        let snap = reg.snapshot();
-        assert_eq!(snap.datapaths.len(), 2);
-        assert_eq!(snap.datapaths[0].shard, 0);
-        assert_eq!(snap.datapaths[0].tx_messages, 2);
-        assert_eq!(snap.datapaths[1].shard, 1);
-        assert_eq!(snap.datapaths[1].tx_messages, 5);
-        let json = snap.to_json().to_string();
-        assert!(json.contains("\"shard\":1"));
+    fn concurrent_observers_sample_exactly_one_in_n() {
+        // The tick is the value `consumed`'s own `fetch_add` returns, so
+        // however four threads interleave, message numbers 0, 3, 6, …
+        // are each recorded once — into every histogram of the bundle.
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 10_000;
+        let reg = Registry::new(3);
+        let s = reg.stream(4, "best-effort", 0);
+        let t = reg.tenant(4);
+        let barrier = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    barrier.wait();
+                    for _ in 0..PER_THREAD {
+                        let sample = BreakdownSample {
+                            send_ns: 10,
+                            network_ns: 20,
+                            receive_ns: 30,
+                            processing_ns: 40,
+                        };
+                        s.observe(&sample);
+                        t.observe_total(sample.total_ns());
+                    }
+                });
+            }
+        });
+        let expected = (THREADS * PER_THREAD).div_ceil(3);
+        let snap = s.snapshot();
+        assert_eq!(snap.consumed, THREADS * PER_THREAD);
+        assert_eq!(snap.sampled, expected);
+        for part in [
+            snap.total,
+            snap.send,
+            snap.network,
+            snap.receive,
+            snap.processing,
+        ] {
+            assert_eq!(part.count, snap.sampled);
+        }
+        let tenant = t.snapshot();
+        assert_eq!(tenant.consumed, THREADS * PER_THREAD);
+        assert_eq!((tenant.sampled, tenant.total.count), (expected, expected));
     }
 
     #[test]
@@ -660,18 +485,15 @@ mod tests {
         assert_eq!(snap.tenants[0].consumed, 2);
         assert_eq!(snap.tenants[0].total.count, 2);
         assert_eq!(snap.tenants[0].total.max_ns, 3_000);
-        let json = snap.to_json().to_string();
-        assert!(json.contains("\"tenant\":4"));
     }
 
     #[test]
-    fn registry_snapshot_serializes() {
+    fn stream_snapshot_serializes() {
         let reg = Registry::new(1);
         reg.stream(9, "tc7", 500);
-        reg.register_datapath("dpdk");
-        let json = reg.snapshot().to_json().to_string();
+        let json = reg.snapshot().streams[0].to_json().to_string();
         assert!(json.contains("\"channel\":9"));
-        assert!(json.contains("\"technology\":\"dpdk\""));
+        assert!(json.contains("\"budget_ns\":500"));
         assert!(json.contains("\"p999_ns\""));
     }
 }

@@ -1,19 +1,19 @@
-//! Overhead guard (ISSUE 4): telemetry must be cheap enough that the
-//! zero-copy fast path cannot tell it is there.
+//! Overhead pins (ISSUE 4): what telemetry and the runtime cost the
+//! heap, counted exactly.
 //!
-//! Two assertions, both over the loopback kernel-UDP datapath:
+//! **Zero added allocations** — the steady-state emit/consume round
+//! trip over the loopback kernel-UDP datapath performs *exactly* as many
+//! heap allocations with recording enabled (sampled or every message) as
+//! with it disabled.  All recorder state is preallocated at stream
+//! registration; the record path is relaxed atomics only.
 //!
-//! 1. **Zero added allocations** — with telemetry compiled in, the
-//!    steady-state emit/consume round trip performs *exactly* as many
-//!    heap allocations with recording enabled (sampled) as with it
-//!    disabled.  All recorder state is preallocated at stream
-//!    registration; the record path is relaxed atomics only.
-//! 2. **< 5 % wall-clock difference** between the telemetry-enabled
-//!    (1-in-16 sampled) and telemetry-disabled round-trip medians.
-//!    Timing comparisons are inherently noisy on shared CI runners, so
-//!    `INSANE_SKIP_OVERHEAD_GUARD=1` skips the timing half, and it only
-//!    runs on optimized builds (the allocation half always runs — it is
-//!    deterministic).
+//! What recording costs in *time* is not asserted here: a wall-clock
+//! comparison inside `cargo test` fails for reasons it is not named
+//! after.  It is the repository benchmark's
+//! `telemetry.disabled_rtt_delta_pct` rung (`benchmark/`, `pingpong_64b
+//! --trace 1`: the default 1-in-1 recording against
+//! `TelemetryConfig::disabled()` on the DPDK fast path), and since
+//! recording is on by default every gated `lat_p50_us` includes it.
 //!
 //! The counting allocator this needs is the one place in the workspace
 //! that can see the heap from outside, so the runtime's drop-leak pin
@@ -72,10 +72,9 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// Held by each test for its whole body.  `ALLOCATIONS` counts the whole
-/// process, so the timing test's allocations would otherwise land in the
-/// allocation test's window whenever the harness runs the two in
-/// parallel; and the timing test wants the cores to itself.
+/// Held by each test for its whole body.  `ALLOCATIONS` and `LIVE_BYTES`
+/// count the whole process, so one test's allocations would otherwise
+/// land in another's window whenever the harness runs them in parallel.
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// One manually-driven loopback pair over the kernel-UDP datapath with
@@ -175,19 +174,6 @@ impl Loopback {
     fn alloc_floor(&self, blocks: usize, n: usize) -> u64 {
         (0..blocks).map(|_| self.allocs_over(n)).min().unwrap_or(0)
     }
-
-    /// Median wall-clock time of `n` round trips, sampled one by one.
-    fn median_ns(&self, n: usize) -> u64 {
-        let mut samples: Vec<u64> = (0..n)
-            .map(|_| {
-                let start = std::time::Instant::now();
-                self.round_trip();
-                start.elapsed().as_nanos() as u64
-            })
-            .collect();
-        samples.sort_unstable();
-        samples[samples.len() / 2]
-    }
 }
 
 #[test]
@@ -218,49 +204,6 @@ fn telemetry_adds_zero_allocations_on_the_emit_consume_path() {
         with_full, base,
         "even unsampled telemetry records into preallocated recorders \
          (disabled: {base}, every-message: {with_full} allocations / {N} round trips)"
-    );
-}
-
-#[test]
-fn telemetry_round_trip_overhead_is_under_five_percent() {
-    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    if std::env::var_os("INSANE_SKIP_OVERHEAD_GUARD").is_some() {
-        eprintln!("INSANE_SKIP_OVERHEAD_GUARD set: skipping timing comparison");
-        return;
-    }
-    // An unoptimized record path says nothing about shipped overhead:
-    // in debug builds the relaxed-atomic increments cost 3-4x their
-    // release weight and routinely blow the 5% budget. The timing
-    // comparison only means something on optimized code.
-    if cfg!(debug_assertions) {
-        eprintln!("debug build: skipping timing comparison (run with --release)");
-        return;
-    }
-    let fabric = Fabric::new(TestbedProfile::local());
-    let disabled = loopback(&fabric, 1, TelemetryConfig::disabled());
-    let sampled = loopback(&fabric, 3, TelemetryConfig::default().with_sample_every(16));
-
-    // Warm-up both paths (code, caches, lazy state).
-    disabled.median_ns(64);
-    sampled.median_ns(64);
-
-    // Interleave measurement blocks so slow drift (thermal, noisy
-    // neighbours) hits both configurations equally, and keep the best
-    // (least-disturbed) block per configuration.
-    const BLOCK: usize = 200;
-    let mut best_off = u64::MAX;
-    let mut best_on = u64::MAX;
-    for _ in 0..5 {
-        best_off = best_off.min(disabled.median_ns(BLOCK));
-        best_on = best_on.min(sampled.median_ns(BLOCK));
-    }
-    let diff = best_on.abs_diff(best_off) as f64 / best_off as f64;
-    assert!(
-        diff < 0.05,
-        "sampled telemetry changed the loopback round trip by {:.1}% \
-         (disabled median {best_off} ns, sampled median {best_on} ns); \
-         set INSANE_SKIP_OVERHEAD_GUARD=1 to skip on noisy machines",
-        diff * 100.0
     );
 }
 

@@ -280,9 +280,19 @@ fn stats(socket: &Path) -> Result<(), CtlError> {
         .and_then(Value::as_array)
         .unwrap_or(&[]);
     println!("\ndatapaths ({}):", datapaths.len());
-    let rows: Vec<Vec<String>> = datapaths
+    // Gate-deferral events of each row, per 802.1Q traffic class.
+    let deferrals: Vec<Vec<u64>> = datapaths
         .iter()
         .map(|d| {
+            let per_class = d.get("gate_deferrals").and_then(Value::as_array);
+            let count = |n: &Value| n.as_u64().unwrap_or(0);
+            per_class.unwrap_or(&[]).iter().map(count).collect()
+        })
+        .collect();
+    let rows: Vec<Vec<String>> = datapaths
+        .iter()
+        .zip(&deferrals)
+        .map(|(d, per_class)| {
             vec![
                 str_of(d, "technology").to_string(),
                 u64_of(d, "shard").to_string(),
@@ -295,6 +305,7 @@ fn stats(socket: &Path) -> Result<(), CtlError> {
                 u64_of(d, "rx_messages").to_string(),
                 u64_of(d, "scheduled").to_string(),
                 u64_of(d, "queued").to_string(),
+                per_class.iter().sum::<u64>().to_string(),
             ]
         })
         .collect();
@@ -307,9 +318,22 @@ fn stats(socket: &Path) -> Result<(), CtlError> {
             "rx",
             "scheduled",
             "queued",
+            "deferred",
         ],
         &rows,
     );
+    for (d, per_class) in datapaths.iter().zip(&deferrals) {
+        if per_class.iter().any(|&n| n > 0) {
+            println!(
+                "  {} shard {} deferred by class:",
+                str_of(d, "technology"),
+                u64_of(d, "shard")
+            );
+            for (class, n) in per_class.iter().enumerate() {
+                println!("    tc{class}={n}");
+            }
+        }
+    }
 
     let pools = doc.get("pools").and_then(Value::as_array).unwrap_or(&[]);
     println!("\npools ({}):", pools.len());
